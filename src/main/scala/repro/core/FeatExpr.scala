@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.col
 import scala.collection.mutable
 
 /** A feature program — the state element of the RL formulation. `Raw(i)` is
@@ -18,8 +16,6 @@ sealed trait FeatExpr extends Serializable {
   /** Evaluate against column-major raw data, memoizing by key. */
   def evalLocal(cols: Array[Array[Double]],
                 memo: mutable.Map[String, Array[Double]]): Array[Double]
-  /** Catalyst form over columns named f0..f{p−1}. */
-  def toColumn: Column
 }
 
 final case class Raw(idx: Int) extends FeatExpr {
@@ -28,7 +24,6 @@ final case class Raw(idx: Int) extends FeatExpr {
   override def rawIdx: Set[Int] = Set(idx)
   override def evalLocal(cols: Array[Array[Double]],
                          memo: mutable.Map[String, Array[Double]]): Array[Double] = cols(idx)
-  override def toColumn: Column = col(s"f$idx")
 }
 
 final case class Derived(op: Op, a: FeatExpr, b: FeatExpr) extends FeatExpr {
@@ -43,7 +38,6 @@ final case class Derived(op: Op, a: FeatExpr, b: FeatExpr) extends FeatExpr {
       val vb = if (op.isUnary) va else b.evalLocal(cols, memo)
       op.applyLocal(va, vb)
     })
-  override def toColumn: Column = op.column(a.toColumn, if (op.isUnary) a.toColumn else b.toColumn)
 }
 
 object FeatExpr {

@@ -1,24 +1,18 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-
 /** The paper's nine transformation operators (Section II, "Action"):
   * four unary — logarithm, min-max-normalization, square root, reciprocal —
   * and five binary — addition, subtraction, multiplication, division, modulo.
   *
-  * Every operator has (a) a local Array[Double] implementation used inside
-  * the RL loop, and (b) a Catalyst Column implementation used on DataFrames;
-  * the two agree bit-for-bit and are oracle-checked against DuckDB SQL.
+  * Every operator has a local Array[Double] implementation, used by the RL
+  * loop and every table, and an equivalent DuckDB SQL form that tests check
+  * the local one against.
   * Guards (log of |x|+1, zero-divisor → 0, …) follow standard AFE practice —
   * transformations must be total on arbitrary real columns.
   */
 sealed abstract class Op(val name: String, val isUnary: Boolean) extends Serializable {
   /** Local evaluation. For unary ops `b` is ignored. */
   def applyLocal(a: Array[Double], b: Array[Double]): Array[Double]
-  /** Catalyst form. MinMax uses a global window (the column's min/max). */
-  def column(a: Column, b: Column): Column
   /** The equivalent DuckDB SQL over scalar expressions ea, eb (for oracles). */
   def duckSql(ea: String, eb: String): String
 }
@@ -29,14 +23,12 @@ object Ops {
   case object Log extends Op("log", isUnary = true) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       a.map(v => math.log1p(math.abs(v)))
-    override def column(a: Column, b: Column): Column = log(lit(1.0) + abs(a))
     override def duckSql(ea: String, eb: String): String = s"ln(1.0 + abs($ea))"
   }
 
   case object Sqrt extends Op("sqrt", isUnary = true) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       a.map(v => math.sqrt(math.abs(v)))
-    override def column(a: Column, b: Column): Column = sqrt(abs(a))
     override def duckSql(ea: String, eb: String): String = s"sqrt(abs($ea))"
   }
 
@@ -46,12 +38,6 @@ object Ops {
       a.foreach { v => if (v < lo) lo = v; if (v > hi) hi = v }
       if (hi - lo < Eps) a.map(_ => 0.0) else a.map(v => (v - lo) / (hi - lo))
     }
-    override def column(a: Column, b: Column): Column = {
-      val w  = Window.partitionBy(lit(1))
-      val lo = min(a).over(w)
-      val hi = max(a).over(w)
-      when(hi - lo < Eps, 0.0).otherwise((a - lo) / (hi - lo))
-    }
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN max($ea) OVER () - min($ea) OVER () < $Eps THEN 0.0 " +
         s"ELSE ($ea - min($ea) OVER ()) / (max($ea) OVER () - min($ea) OVER ()) END)"
@@ -60,8 +46,6 @@ object Ops {
   case object Recip extends Op("recip", isUnary = true) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       a.map(v => if (math.abs(v) < Eps) 0.0 else 1.0 / v)
-    override def column(a: Column, b: Column): Column =
-      when(abs(a) < Eps, 0.0).otherwise(lit(1.0) / a)
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($ea) < $Eps THEN 0.0 ELSE 1.0 / $ea END)"
   }
@@ -69,42 +53,35 @@ object Ops {
   case object Add extends Op("add", isUnary = false) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => a(i) + b(i))
-    override def column(a: Column, b: Column): Column = a + b
     override def duckSql(ea: String, eb: String): String = s"($ea + $eb)"
   }
 
   case object Sub extends Op("sub", isUnary = false) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => a(i) - b(i))
-    override def column(a: Column, b: Column): Column = a - b
     override def duckSql(ea: String, eb: String): String = s"($ea - $eb)"
   }
 
   case object Mul extends Op("mul", isUnary = false) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => a(i) * b(i))
-    override def column(a: Column, b: Column): Column = a * b
     override def duckSql(ea: String, eb: String): String = s"($ea * $eb)"
   }
 
   case object Div extends Op("div", isUnary = false) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i => if (math.abs(b(i)) < Eps) 0.0 else a(i) / b(i))
-    override def column(a: Column, b: Column): Column =
-      when(abs(b) < Eps, 0.0).otherwise(a / b)
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($eb) < $Eps THEN 0.0 ELSE $ea / $eb END)"
   }
 
   case object Mod extends Op("mod", isUnary = false) {
     // Floored modulo a − ⌊a/b⌋·b: expressible with identical IEEE primitives
-    // in local math, Catalyst and DuckDB (Java %, C fmod and SQL engines
-    // disagree on sign conventions; this form does not).
+    // in local math and DuckDB (Java %, C fmod and SQL engines disagree on
+    // sign conventions; this form does not).
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
       Array.tabulate(a.length)(i =>
         if (math.abs(b(i)) < Eps) 0.0 else a(i) - math.floor(a(i) / b(i)) * b(i))
-    override def column(a: Column, b: Column): Column =
-      when(abs(b) < Eps, 0.0).otherwise(a - floor(a / b) * b)
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($eb) < $Eps THEN 0.0 ELSE $ea - floor($ea / $eb) * $eb END)"
   }
@@ -115,10 +92,4 @@ object Ops {
   val all: IndexedSeq[Op] = unary ++ binary
 
   def byName(n: String): Op = all.find(_.name == n).getOrElse(sys.error(s"unknown op: $n"))
-
-  /** Apply an operator to DataFrame columns, appending the result as `out`. */
-  def applyDf(df: DataFrame, out: String, op: Op, a: String, b: String = ""): DataFrame = {
-    val cb = if (op.isUnary) col(a) else col(b)
-    df.withColumn(out, op.column(col(a), cb))
-  }
 }

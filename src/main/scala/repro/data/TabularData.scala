@@ -3,11 +3,11 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
-/** A small tabular dataset held locally (row-major) with a DataFrame bridge.
+/** A small tabular dataset held locally (row-major).
   *
-  * The RL loop and the downstream learners operate on the local form (a
-  * single candidate evaluation is milliseconds); DataFrames carry the
-  * Catalyst-expressed feature transformations and the oracle checks.
+  * The RL loop and the downstream learners operate on this local form (a
+  * single candidate evaluation is milliseconds); `toDF` exposes it as a
+  * DataFrame for `SynthData.tabular`.
   */
 final case class TabularData(
     name: String,
@@ -58,26 +58,5 @@ final case class TabularData(
     )
     val rows = x.indices.map(i => Row.fromSeq(x(i).toSeq :+ y(i)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 4), schema)
-  }
-}
-
-object TabularData {
-
-  /** Rebuild from a DataFrame produced by [[TabularData.toDF]] (or any DF of
-    * double feature columns plus a `label` column). Row order is made
-    * deterministic by sorting on all columns.
-    */
-  def fromDF(df: DataFrame, name: String, classification: Boolean): TabularData = {
-    val featCols = df.columns.filter(_ != "label").sorted
-    val collected = df
-      .select((featCols :+ "label").map(org.apache.spark.sql.functions.col): _*)
-      .collect()
-      .sortBy(_.toSeq.map(String.valueOf).mkString("|"))
-    TabularData(
-      name,
-      collected.map(r => featCols.indices.map(i => r.getDouble(i)).toArray),
-      collected.map(_.getDouble(featCols.length)),
-      classification,
-    )
   }
 }

@@ -42,9 +42,6 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
     }.toMap
   }
 
-  /** Algorithm-1 winner across the full grid (used by jobs/ and tests). */
-  lazy val fpeBest: FpeModel.Trained = FpeModel.trainBest(labeled, seed = seed)
-
   // --- The run grid ---------------------------------------------------------
 
   /** Phase A: every run that does not depend on another run's output. */
@@ -156,8 +153,8 @@ object BenchTables {
     val header = Seq("Dataset", "Instances\\Features", "New Features",
       "Generation Time", "Eval. New Features Time", "Total Time")
     val rows = b.tableIRuns.map { r =>
-      val e = DatasetRegistry.byName(r.dataset)
-      Seq(r.dataset, s"${Harness.prepare(r.dataset).nSamples}\\${Harness.prepare(r.dataset).nFeatures}",
+      val d = Harness.prepare(r.dataset)
+      Seq(r.dataset, s"${d.nSamples}\\${d.nFeatures}",
         r.generated.toString, f"${r.genMs}%.0fms", f"${r.evalMs / 1000}%.1fs",
         f"${r.totalMs / 1000}%.1fs")
     }

@@ -68,15 +68,15 @@ object Harness {
                           yPred: Array[Double]): Double =
     if (classification) Metrics.f1Paper(yTrue, yPred) else Metrics.oneMinusRae(yTrue, yPred)
 
-  /** RTDL_N: train the tabular ResNet on a pre-made split, swap the softmax
-    * head for a Random Forest over the penultimate features, score on test.
-    */
   /** DL baselines consume the RAW dataset (up to 64 features, no RF-importance
     * pre-selection) — the paper's RTDL_N runs on the raw target datasets,
     * which is exactly why it collapses in p≫n regimes like secom.
     */
   private def rawFor(name: String): TabularData = DatasetRegistry.load(name)
 
+  /** RTDL_N: train the tabular ResNet on a pre-made split, swap the softmax
+    * head for a Random Forest over the penultimate features, score on test.
+    */
   def runDlN(name: String, seed: Long = 1L): RunResult = {
     val t0 = System.nanoTime()
     val d  = rawFor(name)

@@ -85,12 +85,6 @@ object FpeModel {
       */
     def p(values: Array[Double]): Double = 1.0 - probEffective(values)
 
-    /** Candidate survives pre-evaluation. `tau` is calibrated during training
-      * so the drop rate exceeds 0.5 — Section III-D: "Our method drop rate is
-      * more than 0.5. [...] guarantees 2x faster than NFS".
-      */
-    def isPositive(values: Array[Double]): Boolean = probEffective(values) >= tau
-
     /** Equ. 8: pseudo-score Aₜʰ from the classifier output. */
     def scoreFromP(pBad: Double, aO: Double): Double =
       if (pBad < 0.5) aO + (0.5 - pBad) / 0.5 * (deltaAMax - thre)

@@ -71,16 +71,8 @@ class EndToEndSpec extends SparkSpec {
   }
 }
 
-/** Smoke coverage for the provided TPC-H-lite generators (kept healthy even
-  * though E-AFE's evaluation runs on the tabular generator).
-  */
+/** Smoke coverage for the DataFrame surface of the synthetic datasets. */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem generates the documented schema at tiny SF") {
-    val df = SynthData.lineitem(spark, sf = 0.001)
-    assert(df.columns.contains("l_orderkey") && df.columns.contains("l_shipdate"))
-    assert(df.count() > 0)
-  }
 
   test("tabular(name) surfaces registry datasets as DataFrames") {
     val df = SynthData.tabular(spark, "credit-a")

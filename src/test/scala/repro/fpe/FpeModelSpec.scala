@@ -62,7 +62,6 @@ class FpeModelSpec extends SparkSpec {
       assert(p >= 0 && p <= 1)
       assert(trained.p(f) === 1.0 - p) // Equ. 7 orientation
       assert(trained.tau >= 0.5)      // calibrated for a >0.5 drop rate
-      assert(trained.isPositive(f) === ((1.0 - trained.p(f)) >= trained.tau))
     }
   }
 
