@@ -7,18 +7,43 @@ import repro.ml.{CrossVal, RandomForest}
 import scala.collection.mutable
 import scala.util.Random
 
+/** A Table III method on the shared [[Engine]]: `nfs` (NFS), `fsr`
+  * (AutoFS_R), `eafe` (E-AFE, hash variant per `MethodConfig.hashVariant`),
+  * `eafe_d` (E-AFE_D) or `eafe_r` (E-AFE_R). Each case carries only the
+  * decisions on which the methods differ. FS_R's random generation trains no
+  * policy, so its return rule is unused; the two-stage E-AFE alone keeps a
+  * replay buffer.
+  */
+sealed abstract class Method(
+    val name: String,
+    val usesFpe: Boolean = false,
+    val twoStage: Boolean = false,
+    val randomDropout: Boolean = false,
+    val randomGeneration: Boolean = false,
+    val returns: Method.ReturnRule = Method.Discounted,
+) extends Serializable
+
+object Method {
+  /** How an agent's per-step rewards become its update's returns: `of(rewards, gamma, lambda)`. */
+  sealed abstract class ReturnRule(val of: (Seq[Double], Double, Double) => Seq[Double])
+  case object LambdaReturns extends ReturnRule(Returns.lambdaReturns(_, _, _).toSeq)
+  case object FlatRewards   extends ReturnRule((r, _, _) => r)
+  case object Discounted    extends ReturnRule((r, gamma, _) => Returns.discounted(r, gamma).toSeq)
+
+  case object Nfs   extends Method("nfs")
+  case object Fsr   extends Method("fsr", randomGeneration = true)
+  case object Eafe  extends Method("eafe", usesFpe = true, twoStage = true, returns = LambdaReturns)
+  case object EafeD extends Method("eafe_d", randomDropout = true, returns = LambdaReturns)
+  case object EafeR extends Method("eafe_r", usesFpe = true, returns = FlatRewards)
+
+  val all: Seq[Method] = Seq(Nfs, Fsr, Eafe, EafeD, EafeR)
+  def byName(n: String): Method =
+    all.find(_.name == n).getOrElse(sys.error(s"unknown method: $n"))
+}
+
 /** Configuration for one AFE run (defaults are the bench-scale values; see
-  * DESIGN.md §2 for how they map to the paper's settings).
-  *
-  * `method` selects the Table III column:
-  *  - "nfs"    — NFS: policy gradient, every generated feature evaluated on
-  *               the downstream task (no FPE).
-  *  - "fsr"    — AutoFS_R: random generation + RL feature-subset selection.
-  *  - "eafe"   — full E-AFE: FPE filter + two-stage training + replay buffer
-  *               + λ-returns (hash variant per `hashVariant`).
-  *  - "eafe_d" — E-AFE_D: FPE replaced by a random 50% dropout.
-  *  - "eafe_r" — E-AFE_R: FPE filter kept but flat policy-gradient training
-  *               (no stage 1, no replay, plain per-step rewards).
+  * DESIGN.md §2 for how they map to the paper's settings). `method` names the
+  * [[Method]]; an unknown name fails here, at construction.
   */
 final case class MethodConfig(
     method: String,
@@ -38,6 +63,8 @@ final case class MethodConfig(
     selectionRounds: Int = 10, // AutoFS_R subset-search rounds
     seed: Long = 1L,
 ) extends Serializable {
+  val kind: Method = Method.byName(method)
+
   /** The paper trains each stage for the full epoch budget ("The training
     * epoch of the two-stage policy training strategy is 200, respectively"):
     * E-AFE runs stage1 FPE-only epochs and then a full stage-2 budget, while
@@ -45,7 +72,7 @@ final case class MethodConfig(
     * stage-2 budget entirely against the downstream task.
     */
   def totalEpochs: Int =
-    if (method == "eafe") stage1Epochs + stage2Epochs else stage2Epochs
+    if (kind.twoStage) stage1Epochs + stage2Epochs else stage2Epochs
 }
 
 /** Per-run effort/time accounting (Tables I, IV, VI). */
@@ -78,7 +105,8 @@ final case class RunResult(
   * the same substrate). One [[RnnPolicy]] agent per original feature; per
   * generation round every agent proposes one `OPERATOR(f1, f2)` candidate and
   * the round's surviving candidates are evaluated on the downstream task —
-  * in parallel as one Spark task each when a session is supplied.
+  * in parallel as one Spark task each when a session is supplied. An Engine
+  * makes one run.
   */
 final class Engine(
     val data: TabularData,
@@ -86,10 +114,8 @@ final class Engine(
     val fpe: Option[FpeModel.Trained],
     val spark: Option[SparkSession],
 ) {
-  require(
-    !Set("eafe", "eafe_r").contains(cfg.method) || fpe.isDefined,
-    s"${cfg.method} requires a trained FPE model",
-  )
+  private val method = cfg.kind
+  require(!method.usesFpe || fpe.isDefined, s"${cfg.method} requires a trained FPE model")
 
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
   private val rawCols  = evalData.columns
@@ -98,305 +124,276 @@ final class Engine(
   private val counters = RunCounters()
   private val rng      = new Random(cfg.seed * 7919L + data.name.hashCode)
 
+  private val n         = data.nFeatures
+  private val raws      = (0 until n).map(Raw(_))
+  private val agents    = Array.tabulate(n)(i => new RnnPolicy(Ops.all.length, seed = cfg.seed * 1000L + i))
+  private val subgroups = Array.tabulate(n)(i => mutable.ArrayBuffer[FeatExpr](raws(i)))
+  // Within-epoch dedup only: across epochs a re-proposed feature is
+  // re-submitted to evaluation, exactly as NFS does (Table IV counts it).
+  private val seen      = mutable.Set.empty[String]
+  private val selected  = mutable.ArrayBuffer[FeatExpr](raws: _*)
+  // Replay buffer of stage-1 positives: (agent, program, P(effective)).
+  private val replay    = mutable.ArrayBuffer.empty[(Int, FeatExpr, Double)]
+  private val curve     = mutable.ArrayBuffer.empty[Double]
+  // `run` starts every score at the raw features' downstream score.
+  private var baseScore    = 0.0
+  private var curScore     = 0.0
+  private var bestScore    = 0.0
+  private var bestSelected = selected.toVector
+  private val aPrevH       = new Array[Double](n) // stage-1 pseudo-score chain (Equ. 8–9)
+  private val fpeProbs = mutable.ArrayBuffer.empty[Double]
+
+  // Per-epoch trajectory of each agent, and the current round's rewards.
+  private val hidden     = new Array[Array[Double]](n)
+  private val stepReward = new Array[Double](n)
+  private val steps      = Array.fill(n)(mutable.ArrayBuffer.empty[PolicyStep])
+  private val rewards    = Array.fill(n)(mutable.ArrayBuffer.empty[Double])
+
   private def materialize(e: FeatExpr): Array[Double] = e.evalLocal(rawCols, memo)
 
   private def setKey(exprs: Seq[FeatExpr]): String = exprs.map(_.key).sorted.mkString(";")
-
-  private def learner = new RandomForest(
-    evalData.classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed)
 
   /** Downstream CV score of a feature set; cached by canonical set key. */
   private def score(exprs: Seq[FeatExpr]): Double =
     scoreCache.getOrElseUpdate(setKey(exprs), {
       counters.evaluated += 1
-      val t0   = System.nanoTime()
-      val cols = exprs.map(materialize)
-      val x    = Array.tabulate(evalData.nSamples)(i => cols.map(_(i)).toArray)
-      val s    = CrossVal.score(x, evalData.y, learner, cfg.folds, cfg.seed)
+      val t0 = System.nanoTime()
+      val s  = Engine.cvScore(exprs.map(materialize).toArray, evalData.y, evalData.classification, cfg)
       counters.evalNanos += System.nanoTime() - t0
       s
     })
 
-  /** Evaluate `selected ++ candidate` for every candidate — one Spark task
+  /** Evaluate the state plus one candidate for every candidate — one Spark task
     * per candidate when a session is available. Sequential and parallel paths
     * produce identical scores (seeded learner). No memoization here: the
     * systems the paper profiles refit the downstream CV for every submitted
     * feature, and Table I/IV/VI account evaluations that way.
     */
-  private def evalBatch(selected: Seq[FeatExpr], candidates: Seq[FeatExpr]): Map[String, Double] = {
+  private def evalBatch(candidates: Seq[FeatExpr]): Map[String, Double] = {
     val fresh = candidates.distinctBy(_.key)
     if (fresh.isEmpty) return Map.empty
 
-    val t0      = System.nanoTime()
-    val selCols = selected.map(materialize).toArray
-    val y       = evalData.y
-    val classif = evalData.classification
-    val n       = evalData.nSamples
-    val (folds, trees, depth, s0) = (cfg.folds, cfg.rfTrees, cfg.rfDepth, cfg.seed)
-
-    val freshScores: Map[String, Double] = spark match {
+    val t0 = System.nanoTime()
+    // Locals only: the Spark tasks must not capture this Engine.
+    val (sel, y, classif, c) = (selected.map(materialize).toArray, evalData.y, evalData.classification, cfg)
+    val cv: ((String, Array[Double])) => (String, Double) = { case (key, col) =>
+      key -> Engine.cvScore(sel :+ col, y, classif, c)
+    }
+    val payload = fresh.map(e => (e.key, materialize(e)))
+    val scores = spark match {
       case Some(ss) =>
-        val payload = fresh.map(c => (c.key, materialize(c)))
-        val bc      = ss.sparkContext.broadcast((selCols, y, classif))
-        ss.sparkContext
-          .parallelize(payload, math.min(payload.size, ss.sparkContext.defaultParallelism))
-          .map { case (key, candCol) =>
-            val (sel, yy, cl) = bc.value
-            val x = Array.tabulate(n)(i => {
-              val row = new Array[Double](sel.length + 1)
-              var j   = 0
-              while (j < sel.length) { row(j) = sel(j)(i); j += 1 }
-              row(sel.length) = candCol(i)
-              row
-            })
-            key -> CrossVal.score(x, yy, new RandomForest(cl, trees, depth, seed = s0), folds, s0)
-          }
-          .collect()
-          .toMap
-      case None =>
-        fresh.map { c =>
-          val candCol = materialize(c)
-          val x = Array.tabulate(n)(i => {
-            val row = new Array[Double](selCols.length + 1)
-            var j   = 0
-            while (j < selCols.length) { row(j) = selCols(j)(i); j += 1 }
-            row(selCols.length) = candCol(i)
-            row
-          })
-          c.key -> CrossVal.score(x, y, new RandomForest(classif, trees, depth, seed = s0), folds, s0)
-        }.toMap
+        ss.sparkContext.parallelize(payload, math.min(payload.size, ss.sparkContext.defaultParallelism))
+          .map(cv).collect().toMap
+      case None => payload.map(cv).toMap
     }
     counters.evaluated += fresh.size
     counters.evalNanos += System.nanoTime() - t0
-    freshScores
+    scores
   }
 
-  /** P(effective) proxies for E-AFE_D's random dropout. */
-  private def randomKeep(): Boolean = rng.nextDouble() < 0.5
+  private def room(e: FeatExpr): Boolean =
+    selected.size < n + cfg.extraSelectedCap && !selected.exists(_.key == e.key)
+
+  private def raiseBest(s: Double, set: => Vector[FeatExpr]): Unit =
+    if (s > bestScore) { bestScore = s; bestSelected = set }
+
+  /** Append `e` (downstream score `s`) to the state and, for a generated
+    * feature, to its agent's subgroup; raise the current and best scores.
+    */
+  private def accept(e: FeatExpr, s: Double, agent: Option[Int]): Unit = {
+    selected += e
+    agent.filter(subgroups(_).size < cfg.maxSubgroup).foreach(subgroups(_) += e)
+    if (s > curScore) curScore = s
+    raiseBest(s, selected.toVector)
+  }
 
   def run(): RunResult = {
     val tStart = System.nanoTime()
-    val n      = data.nFeatures
-    val raws   = (0 until n).map(Raw(_))
-
-    val usesFpe    = cfg.method == "eafe" || cfg.method == "eafe_r"
-    val usesDrop   = cfg.method == "eafe_d" // single-stage random 50% dropout
-    val twoStage   = cfg.method == "eafe"
-    val usesPolicy = cfg.method != "fsr"
-    val usesLambda = cfg.method == "eafe" || cfg.method == "eafe_d"
-
-    val agents = Array.tabulate(n)(i =>
-      new RnnPolicy(Ops.all.length, seed = cfg.seed * 1000L + i))
-    val subgroups = Array.tabulate(n)(i => mutable.ArrayBuffer[FeatExpr](raws(i)))
-    // Within-epoch dedup only: across epochs a re-proposed feature is
-    // re-submitted to evaluation, exactly as NFS does (Table IV counts it).
-    val seen      = mutable.Set[String](raws.map(_.key): _*)
-    val selected  = mutable.ArrayBuffer[FeatExpr](raws: _*)
-    // Replay buffer of stage-1 positives: (agent, program, P(effective)).
-    val replay    = mutable.ArrayBuffer.empty[(Int, FeatExpr, Double)]
-
-    val baseScore = score(selected.toSeq)
-    var curScore  = baseScore
-    var bestScore = baseScore
-    var bestSelected = selected.toVector
-    val curve     = mutable.ArrayBuffer.empty[Double]
-    val maxSelected = n + cfg.extraSelectedCap
-
-    // Stage-1 pseudo-score chain per agent (Equ. 8–9).
-    val aPrevH = Array.fill(n)(baseScore)
-
-    // Running FPE outputs on this run's generated features: the decision
-    // threshold adapts so the drop rate stays >0.5 on the *deployed*
-    // distribution (Section III-D), with the pre-trained tau as the floor
-    // for the first observations.
-    val fpeProbs = mutable.ArrayBuffer.empty[Double]
-    def fpeThreshold: Double =
-      if (fpeProbs.size < 8) fpe.map(_.tau).getOrElse(0.5)
-      else {
-        val sorted = fpeProbs.toArray.sorted
-        sorted(math.min(sorted.length - 1,
-          math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
-      }
-
-    var replaySeeded = false
+    baseScore = score(raws)
+    curScore = baseScore
+    bestScore = baseScore
+    java.util.Arrays.fill(aPrevH, baseScore)
 
     for (epoch <- 0 until cfg.totalEpochs) {
-      val stage1 = twoStage && epoch < cfg.stage1Epochs
-
-      // At the formal-training boundary, evaluate the replay buffer's
-      // promising features on the real downstream task (Algorithm 2 line 16).
-      if (twoStage && !stage1 && !replaySeeded) {
-        replaySeeded = true
-        // Only the most promising replay entries get a downstream evaluation —
-        // seeding must not undo the stage-1 evaluation savings.
-        val budget = math.max(1, n * cfg.T / 4)
-        val pending = replay
-          .sortBy(-_._3)
-          .map(_._2)
-          .filterNot(e => selected.exists(_.key == e.key))
-          .distinctBy(_.key)
-          .take(budget)
-          .toSeq
-        if (pending.nonEmpty) {
-          val scores = evalBatch(selected.toSeq, pending)
-          pending.foreach { e =>
-            val s = scores(e.key)
-            if (s > curScore && selected.size < maxSelected) {
-              selected += e
-              curScore = s
-              if (s > bestScore) { bestScore = s; bestSelected = selected.toVector }
-            }
-          }
-        }
-      }
-
-      val hidden     = Array.tabulate(n)(i => agents(i).freshHidden)
-      val lastReward = Array.fill(n)(0.0)
-      val steps      = Array.fill(n)(mutable.ArrayBuffer.empty[PolicyStep])
-      val rewards    = Array.fill(n)(mutable.ArrayBuffer.empty[Double])
-      seen.clear()
-      seen ++= raws.map(_.key)
-      seen ++= selected.map(_.key)
-
-      for (t <- 0 until cfg.T) {
-        // --- Generation: every agent proposes one candidate. -------------
-        val tGen = System.nanoTime()
-        val proposals = (0 until n).map { i =>
-          val x = Array(
-            math.min(subgroups(i).size, 10) / 10.0,
-            if (stage1) aPrevH(i) else curScore,
-            lastReward(i) * 10.0,
-            (t + 1).toDouble / cfg.T,
-          )
-          val (hNew, probs) = agents(i).forward(x, hidden(i))
-          val actionIdx =
-            if (usesPolicy) agents(i).sample(probs, rng) else rng.nextInt(Ops.all.length)
-          if (usesPolicy) steps(i) += PolicyStep(x, hidden(i), actionIdx)
-          hidden(i) = hNew
-          val op = Ops.all(actionIdx)
-          val fa = subgroups(i)(rng.nextInt(subgroups(i).size))
-          val fb = subgroups(i)(rng.nextInt(subgroups(i).size))
-          (i, FeatExpr.derive(op, fa, fb))
-        }
-        // Dedup + order cap. FS_R skips dedup (random generation re-creates
-        // and re-evaluates duplicates — Table IV's highest count).
-        val valid = proposals.filter { case (_, e) =>
-          e.order <= cfg.maxOrder && (cfg.method == "fsr" || !seen.contains(e.key))
-        }
-        valid.foreach { case (_, e) => seen += e.key }
-        counters.generated += valid.size
-        counters.genNanos += System.nanoTime() - tGen
-
-        val stepReward = Array.fill(n)(0.0)
-
-        // --- Pre-evaluation (FPE / random dropout). -----------------------
-        val survivors =
-          if (usesFpe) {
-            val tPre   = System.nanoTime()
-            val scored = valid.map { case (i, e) =>
-              counters.preEvaluated += 1
-              (i, e, fpe.get.p(materialize(e)))
-            }
-            val thr = fpeThreshold // threshold from features seen BEFORE this batch
-            scored.foreach { case (_, _, pBad) => fpeProbs += 1.0 - pBad }
-            val kept = scored.filter { case (i, e, pBad) =>
-              val positive = (1.0 - pBad) >= thr
-              if (stage1) {
-                // Equ. 8–9: pseudo-score reward chain, no downstream task.
-                val aH = fpe.get.scoreFromP(pBad, baseScore)
-                stepReward(i) = aH - aPrevH(i)
-                aPrevH(i) = aH
-                if (positive) {
-                  replay += ((i, e, 1.0 - pBad))
-                  if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-                }
-              }
-              positive
-            }.map { case (i, e, _) => (i, e) }
-            counters.preNanos += System.nanoTime() - tPre
-            if (stage1) Seq.empty else kept
-          } else if (usesDrop) {
-            valid.filter(_ => randomKeep())
-          } else valid
-
-        // --- Downstream evaluation of the round's survivors. --------------
-        if (survivors.nonEmpty) {
-          val batchBase = selected.toSeq
-          val scores    = evalBatch(batchBase, survivors.map(_._2))
-          val anchor    = curScore
-          survivors.foreach { case (i, e) =>
-            val s    = scores(e.key)
-            val gain = s - anchor
-            stepReward(i) = gain
-            if (cfg.method == "fsr") {
-              // Random generation keeps everything (no performance gate) —
-              // the polluted pool is what the selection stage must fix.
-              if (selected.size < maxSelected && !selected.exists(_.key == e.key)) {
-                selected += e
-                if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-              }
-              if (s > bestScore) { bestScore = s; bestSelected = selected.toVector }
-            } else if (gain > 0 && selected.size < maxSelected &&
-              !selected.exists(_.key == e.key)) {
-              selected += e
-              if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-              if (s > curScore) curScore = s
-              if (s > bestScore) { bestScore = s; bestSelected = selected.toVector }
-            }
-          }
-        }
-
-        (0 until n).foreach { i =>
-          lastReward(i) = stepReward(i)
-          rewards(i) += stepReward(i)
-        }
-      }
-
-      // --- Policy update (Equ. 10–12). ------------------------------------
-      if (usesPolicy) {
-        (0 until n).foreach { i =>
-          val u =
-            if (usesLambda) Returns.lambdaReturns(rewards(i).toSeq, cfg.gamma, cfg.lambda)
-            else if (cfg.method == "eafe_r") rewards(i).toArray // flat per-step rewards
-            else Returns.discounted(rewards(i).toSeq, cfg.gamma) // NFS
-          agents(i).update(steps(i).toSeq, u.toSeq)
-        }
-      }
+      val stage1 = method.twoStage && epoch < cfg.stage1Epochs
+      if (method.twoStage && epoch == cfg.stage1Epochs) seedFromReplay()
+      runEpoch(stage1)
       curve += bestScore
     }
+    if (method.randomGeneration && selected.size > n) selectSubset()
 
-    // --- AutoFS_R subset-selection phase (RL feature selection). ----------
-    if (cfg.method == "fsr" && selected.size > n) {
-      val pool  = selected.toVector
-      val probs = Array.fill(pool.size)(0.7)
-      var meanS = bestScore
-      for (round <- 0 until cfg.selectionRounds) {
-        val include = probs.indices.map(j => j < n || rng.nextDouble() < probs(j))
-        val subset  = pool.indices.filter(include).map(pool)
-        val s       = score(subset)
-        val adv     = s - meanS
-        probs.indices.filter(_ >= n).foreach { j =>
-          probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (include(j)) 1 else -1)))
-        }
-        meanS = 0.8 * meanS + 0.2 * s
-        if (s > bestScore) { bestScore = s; bestSelected = subset.toVector }
-      }
-    }
-
-    val totalMs = (System.nanoTime() - tStart) / 1e6
     RunResult(
       dataset = data.name,
       method = cfg.method,
-      hashVariant = if (usesFpe) cfg.hashVariant else "",
+      hashVariant = if (method.usesFpe) cfg.hashVariant else "",
       baseScore = baseScore,
       score = bestScore,
       generated = counters.generated,
       evaluated = counters.evaluated,
       genMs = counters.genNanos / 1e6,
       evalMs = counters.evalNanos / 1e6,
-      totalMs = totalMs,
+      totalMs = (System.nanoTime() - tStart) / 1e6,
       selectedKeys = bestSelected.map(_.key),
       curve = curve.toSeq,
     )
   }
+
+  /** Algorithm 2 line 16: at the formal-training boundary the replay buffer's
+    * most promising features get a downstream evaluation — only n·T/4 of
+    * them, so that seeding does not undo the stage-1 evaluation savings.
+    */
+  private def seedFromReplay(): Unit = {
+    val pending = replay
+      .sortBy(-_._3)
+      .map(_._2)
+      .filterNot(e => selected.exists(_.key == e.key))
+      .distinctBy(_.key)
+      .take(math.max(1, n * cfg.T / 4))
+      .toSeq
+    val scores = evalBatch(pending)
+    pending.foreach { e =>
+      val s = scores(e.key)
+      if (s > curScore && room(e)) accept(e, s, None)
+    }
+  }
+
+  /** One epoch: T generate → pre-evaluate → evaluate rounds, then the policy update. */
+  private def runEpoch(stage1: Boolean): Unit = {
+    (0 until n).foreach { i =>
+      hidden(i) = agents(i).freshHidden
+      steps(i).clear()
+      rewards(i).clear()
+    }
+    seen.clear()
+    seen ++= selected.map(_.key) // the raw features and every accepted one
+
+    for (t <- 0 until cfg.T) {
+      java.util.Arrays.fill(stepReward, 0.0)
+      evaluate(preEvaluate(generate(t, stage1), stage1))
+      (0 until n).foreach(i => rewards(i) += stepReward(i))
+    }
+    update()
+  }
+
+  /** Every agent proposes one candidate; returns those within the order cap
+    * and, except under random generation, not yet seen this epoch.
+    */
+  private def generate(t: Int, stage1: Boolean): Seq[(Int, FeatExpr)] = {
+    val tGen = System.nanoTime()
+    val proposals = (0 until n).map { i =>
+      val x = Array(
+        math.min(subgroups(i).size, 10) / 10.0,
+        if (stage1) aPrevH(i) else curScore,
+        rewards(i).lastOption.getOrElse(0.0) * 10.0,
+        (t + 1).toDouble / cfg.T,
+      )
+      val (hNew, probs) = agents(i).forward(x, hidden(i))
+      val actionIdx =
+        if (method.randomGeneration) rng.nextInt(Ops.all.length) else agents(i).sample(probs, rng)
+      if (!method.randomGeneration) steps(i) += PolicyStep(x, hidden(i), actionIdx)
+      hidden(i) = hNew
+      val fa = subgroups(i)(rng.nextInt(subgroups(i).size))
+      val fb = subgroups(i)(rng.nextInt(subgroups(i).size))
+      (i, FeatExpr.derive(Ops.all(actionIdx), fa, fb))
+    }
+    // FS_R skips dedup: random generation re-creates and re-evaluates
+    // duplicates (Table IV's highest count).
+    val valid = proposals.filter { case (_, e) =>
+      e.order <= cfg.maxOrder && (method.randomGeneration || !seen.contains(e.key))
+    }
+    valid.foreach { case (_, e) => seen += e.key }
+    counters.generated += valid.size
+    counters.genNanos += System.nanoTime() - tGen
+    valid
+  }
+
+  /** Running FPE outputs on this run's generated features: the decision
+    * threshold adapts so the drop rate stays >0.5 on the *deployed*
+    * distribution (Section III-D), with the pre-trained tau as the floor
+    * for the first observations.
+    */
+  private def fpeThreshold: Double =
+    if (fpeProbs.size < 8) fpe.map(_.tau).getOrElse(0.5)
+    else {
+      val sorted = fpeProbs.toArray.sorted
+      sorted(math.min(sorted.length - 1,
+        math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
+    }
+
+  /** The candidates that go on to the downstream task: those the FPE keeps
+    * (none in stage 1, which rewards the pseudo-score chain instead), a
+    * random half under E-AFE_D, or all of them.
+    */
+  private def preEvaluate(valid: Seq[(Int, FeatExpr)], stage1: Boolean): Seq[(Int, FeatExpr)] =
+    if (method.usesFpe) {
+      val tPre   = System.nanoTime()
+      val scored = valid.map { case (i, e) => (i, e, fpe.get.p(materialize(e))) }
+      counters.preEvaluated += valid.size
+      val thr = fpeThreshold // threshold from features seen BEFORE this batch
+      scored.foreach { case (_, _, pBad) => fpeProbs += 1.0 - pBad }
+      val kept = scored.filter { case (i, e, pBad) =>
+        val positive = (1.0 - pBad) >= thr
+        if (stage1) {
+          // Equ. 8–9: pseudo-score reward chain, no downstream task.
+          val aH = fpe.get.scoreFromP(pBad, baseScore)
+          stepReward(i) = aH - aPrevH(i)
+          aPrevH(i) = aH
+          if (positive) {
+            replay += ((i, e, 1.0 - pBad))
+            if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
+          }
+        }
+        positive
+      }.map { case (i, e, _) => (i, e) }
+      counters.preNanos += System.nanoTime() - tPre
+      if (stage1) Seq.empty else kept
+    } else if (method.randomDropout) valid.filter(_ => rng.nextDouble() < 0.5)
+    else valid
+
+  /** Downstream evaluation of the round's survivors; each gain is its agent's step reward. */
+  private def evaluate(survivors: Seq[(Int, FeatExpr)]): Unit = {
+    val scores = evalBatch(survivors.map(_._2))
+    val anchor = curScore
+    survivors.foreach { case (i, e) =>
+      val s    = scores(e.key)
+      val gain = s - anchor
+      stepReward(i) = gain
+      // Random generation keeps everything (no performance gate) — the
+      // polluted pool is what the selection stage must fix.
+      if ((method.randomGeneration || gain > 0) && room(e)) accept(e, s, Some(i))
+      else if (method.randomGeneration) raiseBest(s, selected.toVector)
+    }
+  }
+
+  /** Policy update (Equ. 10–12) from the epoch's rewards. */
+  private def update(): Unit =
+    if (!method.randomGeneration) (0 until n).foreach { i =>
+      agents(i).update(steps(i).toSeq, method.returns.of(rewards(i).toSeq, cfg.gamma, cfg.lambda))
+    }
+
+  /** AutoFS_R's RL subset selection over the generated pool; raw features are always kept. */
+  private def selectSubset(): Unit = {
+    val pool  = selected.toVector
+    val probs = Array.fill(pool.size)(0.7)
+    var meanS = bestScore
+    for (_ <- 0 until cfg.selectionRounds) {
+      val include = probs.indices.map(j => j < n || rng.nextDouble() < probs(j))
+      val subset  = pool.indices.filter(include).map(pool)
+      val s       = score(subset)
+      val adv     = s - meanS
+      probs.indices.filter(_ >= n).foreach { j =>
+        probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (include(j)) 1 else -1)))
+      }
+      meanS = 0.8 * meanS + 0.2 * s
+      raiseBest(s, subset.toVector)
+    }
+  }
+}
+
+private object Engine {
+  /** k-fold CV score of the downstream forest on feature columns `cols`. */
+  def cvScore(cols: Array[Array[Double]], y: Array[Double], classification: Boolean,
+              cfg: MethodConfig): Double =
+    CrossVal.score(TabularData.rows(cols), y,
+      new RandomForest(classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed), cfg.folds, cfg.seed)
 }

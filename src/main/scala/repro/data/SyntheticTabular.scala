@@ -111,7 +111,6 @@ object SyntheticTabular {
     // Shuffle column order deterministically so informativeness is not
     // positional; the permutation is part of the dataset identity.
     val perm = rng.shuffle((0 until nFeatures).toList).toArray
-    val x    = Array.tabulate(nSamples)(i => Array.tabulate(nFeatures)(j => cols(perm(j))(i)))
-    TabularData(name, x, y, classification)
+    TabularData(name, TabularData.rows(perm.map(cols)), y, classification)
   }
 }

@@ -5,9 +5,10 @@ import org.apache.spark.sql.types._
 
 /** A small tabular dataset held locally (row-major).
   *
-  * The RL loop and the downstream learners operate on this local form (a
-  * single candidate evaluation is milliseconds); `toDF` exposes it as a
-  * DataFrame for `SynthData.tabular`.
+  * The downstream learners fit on this local form (a single candidate
+  * evaluation is milliseconds); features are produced as columns and turned
+  * into rows by `TabularData.rows`. `toDF` exposes it as a DataFrame for
+  * `SynthData.tabular`.
   */
 final case class TabularData(
     name: String,
@@ -38,7 +39,7 @@ final case class TabularData(
   /** New dataset with extra columns appended (each of length nSamples). */
   def withColumns(extra: Seq[Array[Double]]): TabularData = {
     extra.foreach(c => require(c.length == nSamples, "appended column length mismatch"))
-    copy(x = Array.tabulate(nSamples)(i => x(i) ++ extra.map(_(i))))
+    copy(x = TabularData.rows(columns ++ extra))
   }
 
   /** Deterministic row subsample (no replacement) to at most `n` rows. */
@@ -59,4 +60,16 @@ final case class TabularData(
     val rows = x.indices.map(i => Row.fromSeq(x(i).toSeq :+ y(i)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 4), schema)
   }
+}
+
+object TabularData {
+
+  /** Row-major copy of equal-length feature columns (at least one). */
+  def rows(cols: Array[Array[Double]]): Array[Array[Double]] =
+    Array.tabulate(cols(0).length) { i =>
+      val row = new Array[Double](cols.length)
+      var j   = 0
+      while (j < cols.length) { row(j) = cols(j)(i); j += 1 }
+      row
+    }
 }

@@ -25,9 +25,6 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
 
   val datasets: Seq[String] = DatasetRegistry.targets.map(_.name)
 
-  def cfg(method: String, hashVariant: String = "ccws"): MethodConfig =
-    MethodConfig(method, hashVariant = hashVariant, seed = seed)
-
   // --- FPE pre-training -----------------------------------------------------
 
   lazy val labeled: Seq[FpeLabeler.LabeledFeature] =
@@ -52,27 +49,23 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
       ds <- datasets
       m  <- methods if m != "fe_dl"
     } yield (ds, m)
-    val results = spark.sparkContext
+    spark.sparkContext
       .parallelize(work, work.size)
       .map { case (ds, m) =>
         val r = m match {
           case "dln"   => Harness.runDlN(ds, sd)
           case "dl_fe" => Harness.runDlFe(ds, sd)
-          case v if v.startsWith("eafe:") =>
-            val hv = v.stripPrefix("eafe:")
-            Harness.runRl(ds, MethodConfig("eafe", hashVariant = hv, seed = sd),
-              Some(fpeB.value(hv)), None)
-          case "eafe_r" =>
-            Harness.runRl(ds, MethodConfig("eafe_r", seed = sd),
-              Some(fpeB.value("ccws")), None)
-          case other =>
-            Harness.runRl(ds, MethodConfig(other, seed = sd), None, None)
+          case key => // method[:hash variant]
+            val cfg = key.split(':') match {
+              case Array(method, hv) => MethodConfig(method, hashVariant = hv, seed = sd)
+              case Array(method)     => MethodConfig(method, seed = sd)
+            }
+            Harness.runRl(ds, cfg, Option.when(cfg.kind.usesFpe)(fpeB.value(cfg.hashVariant)), None)
         }
         (ds, m) -> r
       }
       .collect()
       .toMap
-    results
   }
 
   /** Phase B: FE|DL consumes E-AFE's selected features. */

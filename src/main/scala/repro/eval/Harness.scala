@@ -98,11 +98,7 @@ object Harness {
     val d  = prepare(name)
     val memo  = mutable.Map.empty[String, Array[Double]]
     val cols  = d.columns
-    val exprs = selectedKeys.map(FeatExpr.parse)
-    val x     = {
-      val cs = exprs.map(_.evalLocal(cols, memo))
-      Array.tabulate(d.nSamples)(i => cs.map(_(i)).toArray)
-    }
+    val x     = TabularData.rows(selectedKeys.map(FeatExpr.parse(_).evalLocal(cols, memo)).toArray)
     val (train, _, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed)
     net.train(train.map(x), train.map(d.y))
@@ -159,7 +155,8 @@ object Harness {
     * downstream model family. `model` ∈ {svm, nbgp, mlp}; "nbgp" is Naive
     * Bayes on classification datasets and a Gaussian Process on regression
     * (the paper's fused "NB GP" column); "svm" uses ridge (linear SVR) on
-    * regression datasets.
+    * regression datasets. The programs are re-materialized as columns and
+    * transposed to rows with `TabularData.rows`, as the engine does.
     */
   def reEvaluate(name: String, selectedKeys: Seq[String], model: String, seed: Long = 1L): Double = {
     val d = prepare(name).subsample(700, seed)
@@ -176,8 +173,6 @@ object Harness {
     val exprs =
       if (selectedKeys.nonEmpty) selectedKeys.map(FeatExpr.parse)
       else (0 until d.nFeatures).map(Raw(_))
-    val cs = exprs.map(_.evalLocal(cols, memo))
-    val x  = Array.tabulate(d.nSamples)(i => cs.map(_(i)).toArray)
-    CrossVal.score(x, d.y, learner, 3, seed)
+    CrossVal.score(TabularData.rows(exprs.map(_.evalLocal(cols, memo)).toArray), d.y, learner, 3, seed)
   }
 }

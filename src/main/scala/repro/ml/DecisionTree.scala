@@ -42,6 +42,7 @@ final class DecisionTree(
     val p       = x(0).length
     val rng     = new Random(seed)
     val indices = Array.range(0, x.length)
+    importanceAcc.clear()
     new TreeModel(build(x, y, indices, p, depth = 0, rng))
   }
 

@@ -68,6 +68,36 @@ class EngineSpec extends SparkSpec {
       s"eafe=${eafe.evaluated} nfs=${nfs.evaluated}")
   }
 
+  test("unknown method names fail at construction") {
+    Seq("eafe:ccws", "typo").foreach(m => intercept[RuntimeException](MethodConfig(m)))
+  }
+
+  test("every method reproduces its pinned run") {
+    val raw = Seq("f0", "f1", "f2", "f3", "f4")
+    val b   = 0.7906305580724186 // raw-feature baseline score
+    // (method, evaluated, generated, selected keys after the raw ones, curve, score)
+    val golden = Seq(
+      ("nfs", 21, 20, Seq("mmn(f4)"), Seq(b, 0.7957314553059235), 0.7957314553059235),
+      ("fsr", 31, 20, Seq("sqrt(f0)", "mul(f1,f1)", "mul(f2,f2)", "mmn(f3)", "sqrt(f4)", "log(f0)",
+        "sqrt(mul(f1,f1))", "sqrt(f3)", "mul(f4,sqrt(f4))", "mmn(mul(f1,f1))", "recip(f2)",
+        "add(f0,log(f0))", "sub(sqrt(mul(f1,f1)),mmn(mul(f1,f1)))"), Seq(b, b), 0.7990125816212773),
+      ("eafe", 13, 30, Seq(), Seq(b, b, b), b),
+      ("eafe_d", 7, 19, Seq(), Seq(b, b), b),
+      ("eafe_r", 15, 20, Seq(), Seq(b, b), b),
+    )
+    golden.foreach { case (m, evaluated, generated, extra, curve, score) =>
+      val cfg = tinyCfg(m)
+      val r   = new Engine(data, cfg, Option.when(cfg.kind.usesFpe)(fpe), None).run()
+      withClue(s"$m: ") {
+        assert(r.evaluated === evaluated && r.generated === generated)
+        assert(r.selectedKeys === raw ++ extra)
+        assert(r.curve.length === curve.length)
+        r.curve.zip(curve).foreach { case (got, want) => assert(math.abs(got - want) <= 1e-12) }
+        assert(math.abs(r.score - score) <= 1e-12)
+      }
+    }
+  }
+
   test("E-AFE without an FPE model is rejected") {
     intercept[IllegalArgumentException] {
       new Engine(data, tinyCfg("eafe"), None, None)

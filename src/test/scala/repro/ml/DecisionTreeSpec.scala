@@ -88,5 +88,8 @@ class DecisionTreeSpec extends SparkSpec {
     val t      = new DecisionTree(classification = true, maxDepth = 3)
     t.fit(x, y)
     assert(t.importanceAcc(0) > t.importanceAcc(1))
+    val first = t.importanceAcc.toMap
+    t.fit(x, y)
+    assert(t.importanceAcc.toMap === first)
   }
 }
