@@ -1,7 +1,6 @@
 package repro.dnn
 
-import repro.ml.{Learner, Model}
-import scala.util.Random
+import repro.ml.Learner
 import Net._
 
 /** One-hidden-layer perceptron as a [[repro.ml.Learner]] — Table V "MLP".
@@ -17,60 +16,9 @@ final class MLPLearner(
 
   override def isClassifier: Boolean = classification
 
-  private final class MlpModel(
-      net: Sequential,
-      head: Dense,
-      scaler: Scaler,
-      classes: Array[Double],
-      yMean: Double,
-      yStd: Double,
-  ) extends Model {
-    override def predict(x: Array[Double]): Double = {
-      val out = head.forward(net.forward(scaler(x)))
-      if (classes.nonEmpty) classes(out.indices.maxBy(out(_)))
-      else out(0) * yStd + yMean
-    }
-  }
-
-  override def fit(x: Array[Array[Double]], y: Array[Double]): Model = {
-    require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
-    val p      = x(0).length
-    val scaler = new Scaler(x)
-    val z      = x.map(scaler(_))
-    val rng    = new Random(seed)
-
-    if (classification) {
-      val classes = y.distinct.sorted
-      val idxOf   = classes.zipWithIndex.toMap
-      val net  = new Sequential(Array(new Dense(p, hidden, seed, lr), new ReLU))
-      val head = new Dense(hidden, classes.length, seed + 1, lr)
-      for (_ <- 0 until epochs) {
-        rng.shuffle(z.indices.toList).foreach { i =>
-          val h          = net.forward(z(i))
-          val logits     = head.forward(h)
-          val (_, gl)    = ceGrad(logits, idxOf(y(i)))
-          net.backward(head.backward(gl))
-          head.step(); net.step()
-        }
-      }
-      new MlpModel(net, head, scaler, classes, 0.0, 1.0)
-    } else {
-      val yMean = y.sum / y.length
-      val yVar  = y.map(v => { val d = v - yMean; d * d }).sum / y.length
-      val yStd  = { val s = math.sqrt(yVar); if (s < 1e-9) 1.0 else s }
-      val t     = y.map(v => (v - yMean) / yStd)
-      val net  = new Sequential(Array(new Dense(p, hidden, seed, lr), new ReLU))
-      val head = new Dense(hidden, 1, seed + 1, lr)
-      for (_ <- 0 until epochs) {
-        rng.shuffle(z.indices.toList).foreach { i =>
-          val h    = net.forward(z(i))
-          val out  = head.forward(h)
-          val grad = Array(2 * (out(0) - t(i)))
-          net.backward(head.backward(grad))
-          head.step(); net.step()
-        }
-      }
-      new MlpModel(net, head, scaler, Array.empty, yMean, yStd)
-    }
-  }
+  override def fit(x: Array[Array[Double]], y: Array[Double]): Fitted =
+    Net.train(x, y, classification,
+      p => Array(new Dense(p, hidden, seed, lr), new ReLU),
+      k => new Dense(hidden, k, seed + 1, lr),
+      epochs, seed)
 }

@@ -1,5 +1,6 @@
 package repro.dnn
 
+import repro.ml.{Model, Standardizer}
 import scala.util.Random
 
 /** Minimal dense neural-network substrate: layers with manual backprop and a
@@ -138,16 +139,66 @@ object Net {
     (loss, g)
   }
 
-  /** Column-wise standardizer fitted on training rows. */
-  final class Scaler(x: Array[Array[Double]]) extends Serializable {
-    val p: Int = x(0).length
-    val mean: Array[Double] = Array.tabulate(p)(j => x.map(_(j)).sum / x.length)
-    val std: Array[Double] = Array.tabulate(p) { j =>
-      val v = x.map(r => { val d = r(j) - mean(j); d * d }).sum / x.length
-      val s = math.sqrt(v)
-      if (s < 1e-9) 1.0 else s
+  /** A trained net over standardized inputs: `features` is the body's output
+    * (the penultimate representation), `predict` the head's class or target.
+    * Regression heads predict standardized targets; `target` maps them back.
+    */
+  final class Fitted private[dnn] (
+      body: Sequential,
+      head: Dense,
+      scaler: Standardizer,
+      classes: Array[Double],
+      target: Option[Standardizer],
+  ) extends Model {
+    def features(x: Array[Double]): Array[Double] = body.forward(scaler(x))
+
+    override def predict(x: Array[Double]): Double = {
+      val out = head.forward(features(x))
+      target match {
+        case None    => classes(out.indices.maxBy(out(_)))
+        case Some(t) => out(0) * t.std(0) + t.mean(0)
+      }
     }
-    def apply(row: Array[Double]): Array[Double] =
-      Array.tabulate(p)(j => (row(j) - mean(j)) / std(j))
+  }
+
+  /** Trains `body` and `head` jointly with per-sample Adam steps for
+    * `epochs` shuffled passes: softmax-CE over the sorted distinct labels for
+    * classification, MSE on standardized targets for regression. `body` gets
+    * the input width, `head` the number of outputs.
+    */
+  def train(
+      x: Array[Array[Double]],
+      y: Array[Double],
+      classification: Boolean,
+      body: Int => Array[Layer],
+      head: Int => Dense,
+      epochs: Int,
+      seed: Long,
+  ): Fitted = {
+    require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
+    val scaler  = new Standardizer(x)
+    val z       = x.map(scaler(_))
+    val rng     = new Random(seed)
+    val net     = new Sequential(body(x(0).length))
+    val classes = if (classification) y.distinct.sorted else Array.empty[Double]
+    val target  = if (classification) None else Some(new Standardizer(y.map(Array(_))))
+    val out     = head(if (classification) classes.length else 1)
+    // dLoss/dOutput for training row i.
+    val lossGrad: (Array[Double], Int) => Array[Double] = target match {
+      case None =>
+        val idxOf = classes.zipWithIndex.toMap
+        (o, i) => ceGrad(o, idxOf(y(i)))._2
+      case Some(t) =>
+        val ts = y.map(v => (v - t.mean(0)) / t.std(0))
+        (o, i) => Array(2 * (o(0) - ts(i)))
+    }
+    for (_ <- 0 until epochs) {
+      rng.shuffle(z.indices.toList).foreach { i =>
+        val o = out.forward(net.forward(z(i)))
+        net.backward(out.backward(lossGrad(o, i)))
+        out.step(); net.step()
+      }
+    }
+    new Fitted(net, out, scaler, classes, target)
   }
 }

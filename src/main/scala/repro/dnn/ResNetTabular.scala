@@ -1,15 +1,15 @@
 package repro.dnn
 
-import scala.util.Random
 import Net._
 
 /** RTDL-style residual MLP for tabular data — substrate for the RTDL_N,
   * FE|DL and DL|FE baselines (Table III).
   *
-  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×2 → head. Trained on a
-  * pre-made train split (the paper stresses that this pre-splitting — rather
-  * than cross-validation — is exactly why the DNN baselines collapse on tiny
-  * datasets, and our reproduction keeps that protocol).
+  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×`blocks` (3 by default) →
+  * head. Trained on a pre-made train split (the paper stresses that this
+  * pre-splitting — rather than cross-validation — is exactly why the DNN
+  * baselines collapse on tiny datasets, and our reproduction keeps that
+  * protocol).
   */
 final class ResNetTabular(
     val classification: Boolean,
@@ -23,61 +23,15 @@ final class ResNetTabular(
   // budget without per-dataset tuning — on small noisy tabular data it
   // memorizes the training split, which is the collapse the paper reports.
 
-  private var net: Sequential  = _
-  private var head: Dense      = _
-  private var scaler: Scaler   = _
-  private var classes: Array[Double] = Array.empty
-  private var yMean = 0.0
-  private var yStd  = 1.0
-
-  /** Train on (xTrain, yTrain) only. */
-  def train(xTrain: Array[Array[Double]], yTrain: Array[Double]): Unit = {
-    require(xTrain.nonEmpty && xTrain.length == yTrain.length, "empty or mismatched data")
-    val p = xTrain(0).length
-    scaler = new Scaler(xTrain)
-    val z   = xTrain.map(scaler(_))
-    val rng = new Random(seed)
-    val body = Array[Layer](new Dense(p, hidden, seed, lr), new ReLU) ++
-      Array.tabulate[Layer](blocks)(b => new ResBlock(hidden, hidden, seed + 100 + b, lr))
-    net = new Sequential(body)
-    if (classification) {
-      classes = yTrain.distinct.sorted
-      val idxOf = classes.zipWithIndex.toMap
-      head = new Dense(hidden, classes.length, seed + 7, lr)
-      for (_ <- 0 until epochs) {
-        rng.shuffle(z.indices.toList).foreach { i =>
-          val h       = net.forward(z(i))
-          val (_, gl) = ceGrad(head.forward(h), idxOf(yTrain(i)))
-          net.backward(head.backward(gl))
-          head.step(); net.step()
-        }
-      }
-    } else {
-      yMean = yTrain.sum / yTrain.length
-      val v = yTrain.map(t => { val d = t - yMean; d * d }).sum / yTrain.length
-      yStd = { val s = math.sqrt(v); if (s < 1e-9) 1.0 else s }
-      val t = yTrain.map(v0 => (v0 - yMean) / yStd)
-      head = new Dense(hidden, 1, seed + 7, lr)
-      for (_ <- 0 until epochs) {
-        rng.shuffle(z.indices.toList).foreach { i =>
-          val h   = net.forward(z(i))
-          val out = head.forward(h)
-          net.backward(head.backward(Array(2 * (out(0) - t(i)))))
-          head.step(); net.step()
-        }
-      }
-    }
-  }
-
-  /** End-to-end prediction (softmax head for classification). */
-  def predict(x: Array[Double]): Double = {
-    val out = head.forward(net.forward(scaler(x)))
-    if (classification) classes(out.indices.maxBy(out(_)))
-    else out(0) * yStd + yMean
-  }
-
-  /** Penultimate (post-residual-trunk) representation — what RTDL_N feeds
-    * into the Random Forest, and what DL|FE hands to feature selection.
+  /** Train on (xTrain, yTrain) only. The fitted net's `predict` is the
+    * end-to-end prediction (FE|DL); its `features` are the penultimate
+    * (post-residual-trunk) representation that RTDL_N feeds into the Random
+    * Forest and DL|FE hands to feature selection.
     */
-  def features(x: Array[Double]): Array[Double] = net.forward(scaler(x))
+  def train(xTrain: Array[Array[Double]], yTrain: Array[Double]): Fitted =
+    Net.train(xTrain, yTrain, classification,
+      p => Array[Layer](new Dense(p, hidden, seed, lr), new ReLU) ++
+        Array.tabulate[Layer](blocks)(b => new ResBlock(hidden, hidden, seed + 100 + b, lr)),
+      k => new Dense(hidden, k, seed + 7, lr),
+      epochs, seed)
 }

@@ -30,8 +30,7 @@ object Harness {
       else {
         val sub = raw.subsample(700, seed = 3L)
         val rf  = new RandomForest(raw.classification, nTrees = 12, maxDepth = 6, seed = 3L)
-        rf.fit(sub.x, sub.y)
-        val top = rf.featureImportances.zipWithIndex
+        val top = rf.fit(sub.x, sub.y).importances.zipWithIndex
           .sortBy { case (imp, idx) => (-imp, idx) }
           .take(MaxBaseFeatures)
           .map(_._2)
@@ -81,8 +80,7 @@ object Harness {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
     val (train, _, test) = split(d, seed)
-    val net = new ResNetTabular(d.classification, seed = seed)
-    net.train(train.map(d.x), train.map(d.y))
+    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(d.x), train.map(d.y))
     val featTrain = train.map(i => net.features(d.x(i)))
     val featTest  = test.map(i => net.features(d.x(i)))
     val rf        = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
@@ -100,8 +98,7 @@ object Harness {
     val cols  = d.columns
     val x     = TabularData.rows(selectedKeys.map(FeatExpr.parse(_).evalLocal(cols, memo)).toArray)
     val (train, _, test) = split(d, seed)
-    val net = new ResNetTabular(d.classification, seed = seed)
-    net.train(train.map(x), train.map(d.y))
+    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     val score =
       paperMetric(d.classification, test.map(d.y), test.map(i => net.predict(x(i))))
     RunResult(name, "fe_dl", "", 0.0, score, 0, 1, 0, 0, (System.nanoTime() - t0) / 1e6,
@@ -115,8 +112,7 @@ object Harness {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
     val (train, _, _) = split(d, seed)
-    val net = new ResNetTabular(d.classification, seed = seed)
-    net.train(train.map(d.x), train.map(d.y))
+    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(d.x), train.map(d.y))
     // Deep features only on rows the net did NOT train on — CV over memorized
     // training rows would leak and inflate the DL|FE column.
     val trainSet = train.toSet
@@ -147,7 +143,6 @@ object Harness {
     RunResult(name, "dl_fe", "", 0.0, best, 0, evals.toLong, 0, 0,
       (System.nanoTime() - t0) / 1e6, Seq.empty, Seq(best))
   }
-  // (subsetScore CV runs only over held-out rows — see comment above)
 
   // --- Table V: downstream-task swap ---------------------------------------
 

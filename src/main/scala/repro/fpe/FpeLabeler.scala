@@ -39,15 +39,18 @@ object FpeLabeler {
       cfg.folds, cfg.seed,
     )
 
+  /** Equ. 3 label of feature j of d, whose base score is a0. */
+  private def labelFeature(d: TabularData, a0: Double, j: Int, cfg: Config): LabeledFeature = {
+    val residual = d.select((0 until d.nFeatures).filter(_ != j))
+    val aj       = if (d.nFeatures == 1) 0.0 else cvScore(residual, cfg)
+    val gain     = a0 - aj
+    LabeledFeature(d.name, j, d.column(j), gain, if (gain > cfg.thre) 1 else 0)
+  }
+
   /** Label one dataset locally. */
   def labelDataset(d: TabularData, cfg: Config): Seq[LabeledFeature] = {
     val a0 = cvScore(d, cfg)
-    (0 until d.nFeatures).map { j =>
-      val residual = d.select((0 until d.nFeatures).filter(_ != j))
-      val aj       = if (d.nFeatures == 1) 0.0 else cvScore(residual, cfg)
-      val gain     = a0 - aj
-      LabeledFeature(d.name, j, d.column(j), gain, if (gain > cfg.thre) 1 else 0)
-    }
+    (0 until d.nFeatures).map(labelFeature(d, a0, _, cfg))
   }
 
   /** Label randomly *generated* transformation features on one dataset by
@@ -100,11 +103,7 @@ object FpeLabeler {
         .parallelize(pairs, math.min(pairs.size, s.sparkContext.defaultParallelism * 2))
         .map { case (name, j) =>
           val (dm, a0m, c) = bc.value
-          val d            = dm(name)
-          val residual     = d.select((0 until d.nFeatures).filter(_ != j))
-          val aj           = if (d.nFeatures == 1) 0.0 else cvScore(residual, c)
-          val gain         = a0m(name) - aj
-          LabeledFeature(name, j, d.column(j), gain, if (gain > c.thre) 1 else 0)
+          labelFeature(dm(name), a0m(name), j, c)
         }
         .collect()
         .toSeq

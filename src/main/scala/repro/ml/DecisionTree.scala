@@ -16,34 +16,18 @@ final class DecisionTree(
     val featureSubset: Int => Int = p => p,
     val seed: Long = 17L,
 ) extends Learner {
+  import DecisionTree._
 
   override def isClassifier: Boolean = classification
 
-  private sealed trait Node extends Serializable
-  private final case class Leaf(value: Double) extends Node
-  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node)
-      extends Node
-
-  private final class TreeModel(root: Node) extends Model {
-    override def predict(x: Array[Double]): Double = {
-      var node = root
-      while (true) {
-        node match {
-          case Leaf(v)                 => return v
-          case Split(f, thr, lt, rt)   => node = if (x(f) <= thr) lt else rt
-        }
-      }
-      0.0 // unreachable
-    }
-  }
-
-  override def fit(x: Array[Array[Double]], y: Array[Double]): Model = {
+  override def fit(x: Array[Array[Double]], y: Array[Double]): Fitted = {
     require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
     val p       = x(0).length
     val rng     = new Random(seed)
     val indices = Array.range(0, x.length)
-    importanceAcc.clear()
-    new TreeModel(build(x, y, indices, p, depth = 0, rng))
+    val imp     = new Array[Double](p)
+    val root    = build(x, y, indices, p, depth = 0, rng, imp)
+    new Fitted(root, imp)
   }
 
   private def leafValue(y: Array[Double], idx: Array[Int]): Double =
@@ -77,6 +61,7 @@ final class DecisionTree(
       p: Int,
       depth: Int,
       rng: Random,
+      imp: Array[Double],
   ): Node = {
     if (depth >= maxDepth || idx.length < 2 * minLeaf) return Leaf(leafValue(y, idx))
     val parentImp = impurity(y, idx)
@@ -145,16 +130,34 @@ final class DecisionTree(
     }
 
     if (bestFeat < 0) return Leaf(leafValue(y, idx))
-    importanceAcc(bestFeat) += bestGain * idx.length
+    imp(bestFeat) += bestGain * idx.length
     val (li, ri) = idx.partition(i => x(i)(bestFeat) <= bestThr)
     if (li.isEmpty || ri.isEmpty) return Leaf(leafValue(y, idx))
-    Split(bestFeat, bestThr, build(x, y, li, p, depth + 1, rng), build(x, y, ri, p, depth + 1, rng))
+    Split(bestFeat, bestThr, build(x, y, li, p, depth + 1, rng, imp),
+      build(x, y, ri, p, depth + 1, rng, imp))
   }
+}
 
-  /** Weighted impurity decrease per feature, accumulated during the last fit.
-    * Consumed by RandomForest.featureImportances.
+object DecisionTree {
+
+  private[ml] sealed trait Node extends Serializable
+  private final case class Leaf(value: Double) extends Node
+  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node)
+      extends Node
+
+  /** A fitted tree. `importances(f)` is the impurity decrease of the splits
+    * on feature f, each weighted by its node's row count.
     */
-  private[ml] val importanceAcc = scala.collection.mutable.Map
-    .empty[Int, Double]
-    .withDefaultValue(0.0)
+  final class Fitted private[ml] (root: Node, val importances: Array[Double]) extends Model {
+    override def predict(x: Array[Double]): Double = {
+      var node = root
+      while (true) {
+        node match {
+          case Leaf(v)                 => return v
+          case Split(f, thr, lt, rt)   => node = if (x(f) <= thr) lt else rt
+        }
+      }
+      0.0 // unreachable
+    }
+  }
 }

@@ -22,11 +22,10 @@ final class GaussianProcess(
       alpha: DenseVector[Double],
       gamma: Double,
       yMean: Double,
-      mean: Array[Double],
-      std: Array[Double],
+      scaler: Standardizer,
   ) extends Model {
     override def predict(x: Array[Double]): Double = {
-      val z = Array.tabulate(x.length)(j => (x(j) - mean(j)) / std(j))
+      val z = scaler(x)
       var s = yMean
       var i = 0
       while (i < xs.length) {
@@ -46,16 +45,11 @@ final class GaussianProcess(
     val keep =
       if (x.length <= maxTrain) x.indices.toArray
       else rng.shuffle(x.indices.toList).take(maxTrain).sorted.toArray
-    val p    = x(0).length
-    val mean = Array.tabulate(p)(j => keep.map(x(_)(j)).sum / keep.length)
-    val std = Array.tabulate(p) { j =>
-      val v = keep.map { i => val d = x(i)(j) - mean(j); d * d }.sum / keep.length
-      val s = math.sqrt(v)
-      if (s < 1e-9) 1.0 else s
-    }
-    val xs    = keep.map(i => Array.tabulate(p)(j => (x(i)(j) - mean(j)) / std(j)))
-    val yMean = keep.map(y(_)).sum / keep.length
-    val yc    = DenseVector(keep.map(y(_) - yMean))
+    val p      = x(0).length
+    val scaler = new Standardizer(keep.map(x))
+    val xs     = keep.map(i => scaler(x(i)))
+    val yMean  = keep.map(y(_)).sum / keep.length
+    val yc     = DenseVector(keep.map(y(_) - yMean))
 
     // Median-heuristic length scale over a bounded pair sample.
     val gamma = if (lengthScale > 0) 1.0 / (2 * lengthScale * lengthScale)
@@ -82,6 +76,6 @@ final class GaussianProcess(
       math.exp(-gamma * d) + (if (i == j) noise else 0.0)
     }
     val alpha = k \ yc
-    new GpModel(xs, alpha, gamma, yMean, mean, std)
+    new GpModel(xs, alpha, gamma, yMean, scaler)
   }
 }

@@ -10,6 +10,8 @@ trait Model extends Serializable {
 
 /** A learning algorithm. All learners in this repo are deterministic in
   * their seed so Spark-parallel and sequential evaluation agree exactly.
+  * `fit` keeps no state on the learner: everything a fit learns is in the
+  * model it returns, so one learner can be shared across fits and threads.
   */
 trait Learner extends Serializable {
   def isClassifier: Boolean

@@ -9,7 +9,6 @@ import scala.util.Random
   * learning rate behaves across datasets of very different scales.
   */
 final class LinearSVM(
-    val classification: Boolean = true,
     val epochs: Int = 60,
     val lr: Double = 0.05,
     val reg: Double = 1e-3,
@@ -20,11 +19,10 @@ final class LinearSVM(
 
   private final class SvmModel(
       ws: Array[(Double, Array[Double], Double)], // (classLabel, weights, bias)
-      mean: Array[Double],
-      std: Array[Double],
+      scaler: Standardizer,
   ) extends Model {
     override def predict(x: Array[Double]): Double = {
-      val z = Array.tabulate(x.length)(j => (x(j) - mean(j)) / std(j))
+      val z = scaler(x)
       ws.map { case (label, w, b) =>
         var s = b
         var j = 0
@@ -36,15 +34,10 @@ final class LinearSVM(
 
   override def fit(x: Array[Array[Double]], y: Array[Double]): Model = {
     require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
-    val p    = x(0).length
-    val n    = x.length
-    val mean = Array.tabulate(p)(j => x.map(_(j)).sum / n)
-    val std = Array.tabulate(p) { j =>
-      val v = x.map(r => { val d = r(j) - mean(j); d * d }).sum / n
-      val s = math.sqrt(v)
-      if (s < 1e-9) 1.0 else s
-    }
-    val z       = x.map(r => Array.tabulate(p)(j => (r(j) - mean(j)) / std(j)))
+    val p       = x(0).length
+    val n       = x.length
+    val scaler  = new Standardizer(x)
+    val z       = x.map(scaler(_))
     val classes = y.distinct.sorted
     val rng     = new Random(seed)
     val models = classes.map { c =>
@@ -70,6 +63,6 @@ final class LinearSVM(
       }
       (c, w, b)
     }
-    new SvmModel(models, mean, std)
+    new SvmModel(models, scaler)
   }
 }

@@ -11,11 +11,13 @@ final class RidgeRegression(val alpha: Double = 1.0) extends Learner {
   override def isClassifier: Boolean = false
 
   private final class RidgeModel(
-      w: DenseVector[Double], b: Double, mean: Array[Double], std: Array[Double])
+      w: DenseVector[Double], b: Double, scaler: Standardizer)
       extends Model {
     override def predict(x: Array[Double]): Double = {
-      var s = b
-      var j = 0
+      val mean = scaler.mean
+      val std  = scaler.std
+      var s    = b
+      var j    = 0
       while (j < x.length) { s += w(j) * (x(j) - mean(j)) / std(j); j += 1 }
       s
     }
@@ -23,19 +25,14 @@ final class RidgeRegression(val alpha: Double = 1.0) extends Learner {
 
   override def fit(x: Array[Array[Double]], y: Array[Double]): Model = {
     require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
-    val n    = x.length
-    val p    = x(0).length
-    val mean = Array.tabulate(p)(j => x.map(_(j)).sum / n)
-    val std = Array.tabulate(p) { j =>
-      val v = x.map(r => { val d = r(j) - mean(j); d * d }).sum / n
-      val s = math.sqrt(v)
-      if (s < 1e-9) 1.0 else s
-    }
-    val z     = DenseMatrix.tabulate(n, p)((i, j) => (x(i)(j) - mean(j)) / std(j))
+    val n      = x.length
+    val p      = x(0).length
+    val scaler = new Standardizer(x)
+    val z = DenseMatrix.tabulate(n, p)((i, j) => (x(i)(j) - scaler.mean(j)) / scaler.std(j))
     val yMean = y.sum / n
     val yc    = DenseVector(y.map(_ - yMean))
     val a     = z.t * z + DenseMatrix.eye[Double](p) * alpha
     val w     = a \ (z.t * yc)
-    new RidgeModel(w, yMean, mean, std)
+    new RidgeModel(w, yMean, scaler)
   }
 }

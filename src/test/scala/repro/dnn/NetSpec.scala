@@ -104,8 +104,7 @@ class NetSpec extends SparkSpec {
     val rng = new Random(33)
     val x   = Array.fill(200)(Array(rng.nextGaussian(), rng.nextGaussian()))
     val y   = x.map(r => if (r(0) - r(1) > 0) 1.0 else 0.0)
-    val net = new ResNetTabular(classification = true, epochs = 25, seed = 2)
-    net.train(x, y)
+    val net = new ResNetTabular(classification = true, epochs = 25, seed = 2).train(x, y)
     assert(Metrics.accuracy(y, x.map(net.predict)) > 0.85)
   }
 
@@ -113,8 +112,7 @@ class NetSpec extends SparkSpec {
     val rng = new Random(34)
     val x   = Array.fill(60)(Array(rng.nextGaussian(), rng.nextGaussian(), rng.nextGaussian()))
     val y   = x.map(r => if (r(0) > 0) 1.0 else 0.0)
-    val net = new ResNetTabular(classification = true, hidden = 16, epochs = 5, seed = 3)
-    net.train(x, y)
+    val net = new ResNetTabular(classification = true, hidden = 16, epochs = 5, seed = 3).train(x, y)
     assert(net.features(x(0)).length === 16)
   }
 
@@ -122,8 +120,7 @@ class NetSpec extends SparkSpec {
     val rng = new Random(35)
     val x   = Array.fill(200)(Array(rng.nextDouble()))
     val y   = x.map(r => 1e4 * r(0) + 5e3) // large-scale targets
-    val net = new ResNetTabular(classification = false, epochs = 30, seed = 4)
-    net.train(x, y)
+    val net = new ResNetTabular(classification = false, epochs = 30, seed = 4).train(x, y)
     assert(Metrics.oneMinusRae(y, x.map(net.predict)) > 0.6)
   }
 }

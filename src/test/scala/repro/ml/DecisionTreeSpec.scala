@@ -86,10 +86,8 @@ class DecisionTreeSpec extends SparkSpec {
   test("importance accumulates on the split feature") {
     val (x, y) = axisSeparable(200, 5)
     val t      = new DecisionTree(classification = true, maxDepth = 3)
-    t.fit(x, y)
-    assert(t.importanceAcc(0) > t.importanceAcc(1))
-    val first = t.importanceAcc.toMap
-    t.fit(x, y)
-    assert(t.importanceAcc.toMap === first)
+    val first  = t.fit(x, y).importances
+    assert(first(0) > first(1))
+    assert(t.fit(x, y).importances.sameElements(first))
   }
 }

@@ -21,20 +21,12 @@ class LearnersGoldenSpec extends AnyFunSuite {
   private def predictions(l: Learner, y: Array[Double]): Array[Double] =
     l.fit(x, y).predictAll(probe)
 
-  /** ResNet outputs on the probe rows: predictions and flattened penultimate features. */
-  private final case class NetOut(predict: Array[Double], features: Array[Double])
+  private def resNet(classification: Boolean) =
+    new ResNetTabular(classification, hidden = 8, epochs = 5, seed = 3)
+      .train(x, if (classification) yClass else yReg)
 
-  private def resNet(classification: Boolean): NetOut = {
-    val net = new ResNetTabular(classification, hidden = 8, epochs = 5, seed = 3)
-    net.train(x, if (classification) yClass else yReg)
-    NetOut(probe.map(net.predict), probe.flatMap(net.features))
-  }
-
-  private def importances(classification: Boolean, y: Array[Double]): Array[Double] = {
-    val rf = new RandomForest(classification, seed = 7)
-    rf.fit(x, y)
-    rf.featureImportances
-  }
+  private def importances(classification: Boolean, y: Array[Double]): Array[Double] =
+    new RandomForest(classification, seed = 7).fit(x, y).importances
 
   private val golden: Seq[(String, () => Array[Double], Array[Double])] = Seq(
     ("LinearSVM", () => predictions(new LinearSVM(seed = 7), yClass), Array(
@@ -65,11 +57,11 @@ class LearnersGoldenSpec extends AnyFunSuite {
       -0.26924568554221395, 3.4476581522092165, -0.9378363270173241,
       1.7451359342414356, 2.6681057712823297, 1.933535018039402,
     )),
-    ("ResNetTabular classification predict", () => resNet(true).predict, Array(
+    ("ResNetTabular classification predict", () => probe.map(resNet(true).predict), Array(
       0.0, 2.0, 0.0,
       0.0, 2.0, 1.0,
     )),
-    ("ResNetTabular classification features", () => resNet(true).features, Array(
+    ("ResNetTabular classification features", () => probe.flatMap(resNet(true).features), Array(
       5.824306197907039, -3.4392682787199167, 0.2886348469391915,
       -0.10071192041053822, -0.5637302102175799, -0.6727395462619902,
       5.778436869125581, 0.49354095150486366, -0.8865748320930783,
@@ -87,11 +79,11 @@ class LearnersGoldenSpec extends AnyFunSuite {
       -1.294796899348667, 0.6830472976510735, -0.22334208776177586,
       -0.3688966548601366, 0.329622380966492, -1.3514063247821402,
     )),
-    ("ResNetTabular regression predict", () => resNet(false).predict, Array(
+    ("ResNetTabular regression predict", () => probe.map(resNet(false).predict), Array(
       0.09750629648790754, 3.038692111044335, 0.34817503560556196,
       1.8219858427722095, 2.9673944596707393, 1.830521026152696,
     )),
-    ("ResNetTabular regression features", () => resNet(false).features, Array(
+    ("ResNetTabular regression features", () => probe.flatMap(resNet(false).features), Array(
       1.1937246448148282, 0.44107411199362473, -0.5443166382707771,
       1.7887469070670161, -1.198070189952713, 0.1648126795093927,
       2.397292233497446, 1.6647094592351608, 0.5123897119162144,

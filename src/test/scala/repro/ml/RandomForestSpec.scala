@@ -40,17 +40,28 @@ class RandomForestSpec extends SparkSpec {
     val rng = new Random(14)
     val x   = Array.fill(300)(Array(rng.nextGaussian(), rng.nextGaussian(), rng.nextGaussian()))
     val y   = x.map(r => if (r(1) > 0) 1.0 else 0.0)
-    val rf  = new RandomForest(classification = true, nTrees = 10)
-    rf.fit(x, y)
-    val imp = rf.featureImportances
+    val imp = new RandomForest(classification = true, nTrees = 10).fit(x, y).importances
     assert(imp(1) > imp(0) && imp(1) > imp(2), imp.mkString(","))
   }
 
   test("feature importances are normalized to sum 1") {
     val (x, y) = blobs(150, 15)
-    val rf     = new RandomForest(classification = true, nTrees = 6)
-    rf.fit(x, y)
-    assert(math.abs(rf.featureImportances.sum - 1.0) < 1e-9)
+    val imp    = new RandomForest(classification = true, nTrees = 6).fit(x, y).importances
+    assert(math.abs(imp.sum - 1.0) < 1e-9)
+  }
+
+  test("one forest fit on two datasets returns each fit's own importances") {
+    val (x1, y1) = blobs(150, 18)
+    val rng      = new Random(19)
+    val x2       = Array.fill(150)(Array(rng.nextGaussian(), rng.nextGaussian()))
+    val y2       = x2.map(r => if (r(1) > 0) 1.0 else 0.0)
+    val shared   = new RandomForest(classification = true, nTrees = 6, seed = 3)
+    val m1       = shared.fit(x1, y1)
+    val m2       = shared.fit(x2, y2)
+    def fresh    = new RandomForest(classification = true, nTrees = 6, seed = 3)
+    assert(m1.importances.sameElements(fresh.fit(x1, y1).importances))
+    assert(m2.importances.sameElements(fresh.fit(x2, y2).importances))
+    assert(!m1.importances.sameElements(m2.importances))
   }
 
   test("forest improves on interaction targets when given the product feature") {
