@@ -50,6 +50,12 @@ class HarnessSpec extends SparkSpec {
     assert(r.score >= 0.0 && r.score <= 1.0)
   }
 
+  test("runDlFe's subset search is pinned on fertility") {
+    val r = Harness.runDlFe("fertility", seed = 1)
+    assert(r.evaluated === 9)
+    assert(math.abs(r.score - 0.6837606837606837) <= 1e-12)
+  }
+
   test("reEvaluate swaps the downstream model on classification datasets") {
     for (m <- Seq("svm", "nbgp", "mlp")) {
       val s = Harness.reEvaluate("credit-a", Seq("f0", "f1", "mul(f0,f1)"), m, seed = 1)
