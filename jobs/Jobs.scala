@@ -6,7 +6,7 @@ import repro.eval.{BenchResults, BenchTables}
 /** Shared session factory for the spark-submit entrypoints. */
 object JobSession {
   def apply(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")

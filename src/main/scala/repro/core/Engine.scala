@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.data.TabularData
 import repro.fpe.FpeModel
 import repro.ml.{CrossVal, RandomForest}
@@ -164,10 +165,10 @@ final class Engine(
     })
 
   /** Evaluate the state plus one candidate for every candidate — one Spark task
-    * per candidate when a session is available. Sequential and parallel paths
-    * produce identical scores (seeded learner). No memoization here: the
-    * systems the paper profiles refit the downstream CV for every submitted
-    * feature, and Table I/IV/VI account evaluations that way.
+    * per candidate ([[FanOut]]) when a session is available. Sequential and
+    * parallel paths produce identical scores (seeded learner). No memoization
+    * here: the systems the paper profiles refit the downstream CV for every
+    * submitted feature, and Table I/IV/VI account evaluations that way.
     */
   private def evalBatch(candidates: Seq[FeatExpr]): Map[String, Double] = {
     val fresh = candidates.distinctBy(_.key)
@@ -179,13 +180,7 @@ final class Engine(
     val cv: ((String, Array[Double])) => (String, Double) = { case (key, col) =>
       key -> Engine.cvScore(sel :+ col, y, classif, c)
     }
-    val payload = fresh.map(e => (e.key, materialize(e)))
-    val scores = spark match {
-      case Some(ss) =>
-        ss.sparkContext.parallelize(payload, math.min(payload.size, ss.sparkContext.defaultParallelism))
-          .map(cv).collect().toMap
-      case None => payload.map(cv).toMap
-    }
+    val scores = FanOut.map(spark, fresh.map(e => (e.key, materialize(e))))(cv).toMap
     counters.evaluated += fresh.size
     counters.evalNanos += System.nanoTime() - t0
     scores
@@ -373,20 +368,9 @@ final class Engine(
 
   /** AutoFS_R's RL subset selection over the generated pool; raw features are always kept. */
   private def selectSubset(): Unit = {
-    val pool  = selected.toVector
-    val probs = Array.fill(pool.size)(0.7)
-    var meanS = bestScore
-    for (_ <- 0 until cfg.selectionRounds) {
-      val include = probs.indices.map(j => j < n || rng.nextDouble() < probs(j))
-      val subset  = pool.indices.filter(include).map(pool)
-      val s       = score(subset)
-      val adv     = s - meanS
-      probs.indices.filter(_ >= n).foreach { j =>
-        probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (include(j)) 1 else -1)))
-      }
-      meanS = 0.8 * meanS + 0.2 * s
-      raiseBest(s, subset.toVector)
-    }
+    val pool = selected.toVector
+    SubsetSearch.run(pool.size, n, cfg.selectionRounds, bestScore, rng)(keep => score(keep.map(pool)))
+      .foreach { case (keep, s) => raiseBest(s, keep.map(pool).toVector) }
   }
 }
 

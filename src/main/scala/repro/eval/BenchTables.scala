@@ -3,6 +3,7 @@ package repro.eval
 import java.io.{File, PrintWriter}
 import org.apache.commons.math3.stat.inference.TTest
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.core.{MethodConfig, RunResult}
 import repro.data.DatasetRegistry
 import repro.fpe.{FpeLabeler, FpeModel}
@@ -41,43 +42,36 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
 
   // --- The run grid ---------------------------------------------------------
 
+  // Each fan-out item carries the seed (and models) its task needs, so no
+  // task closure captures this object.
+
   /** Phase A: every run that does not depend on another run's output. */
   lazy val gridA: Map[(String, String), RunResult] = {
-    val fpeB = spark.sparkContext.broadcast(fpeModels)
-    val sd   = seed // local copy — the closure must not capture `this`
     val work = for {
       ds <- datasets
       m  <- methods if m != "fe_dl"
-    } yield (ds, m)
-    spark.sparkContext
-      .parallelize(work, work.size)
-      .map { case (ds, m) =>
-        val r = m match {
-          case "dln"   => Harness.runDlN(ds, sd)
-          case "dl_fe" => Harness.runDlFe(ds, sd)
-          case key => // method[:hash variant]
-            val cfg = key.split(':') match {
-              case Array(method, hv) => MethodConfig(method, hashVariant = hv, seed = sd)
-              case Array(method)     => MethodConfig(method, seed = sd)
-            }
-            Harness.runRl(ds, cfg, Option.when(cfg.kind.usesFpe)(fpeB.value(cfg.hashVariant)), None)
-        }
-        (ds, m) -> r
+    } yield (ds, m, seed, fpeModels)
+    FanOut.map(Some(spark), work) { case (ds, m, sd, models) =>
+      val r = m match {
+        case "dln"   => Harness.runDlN(ds, sd)
+        case "dl_fe" => Harness.runDlFe(ds, sd)
+        case key => // method[:hash variant]
+          val cfg = key.split(':') match {
+            case Array(method, hv) => MethodConfig(method, hashVariant = hv, seed = sd)
+            case Array(method)     => MethodConfig(method, seed = sd)
+          }
+          Harness.runRl(ds, cfg, Option.when(cfg.kind.usesFpe)(models(cfg.hashVariant)), None)
       }
-      .collect()
-      .toMap
+      (ds, m) -> r
+    }.toMap
   }
 
   /** Phase B: FE|DL consumes E-AFE's selected features. */
   lazy val gridB: Map[(String, String), RunResult] = {
-    val sel  = datasets.map(ds => ds -> gridA((ds, "eafe:ccws")).selectedKeys).toMap
-    val selB = spark.sparkContext.broadcast(sel)
-    val sd   = seed
-    spark.sparkContext
-      .parallelize(datasets, datasets.size)
-      .map(ds => (ds, "fe_dl") -> Harness.runFeDl(ds, selB.value(ds), sd))
-      .collect()
-      .toMap
+    val work = datasets.map(ds => (ds, gridA((ds, "eafe:ccws")).selectedKeys, seed))
+    FanOut.map(Some(spark), work) { case (ds, keys, sd) =>
+      (ds, "fe_dl") -> Harness.runFeDl(ds, keys, sd)
+    }.toMap
   }
 
   lazy val grid: Map[(String, String), RunResult] = gridA ++ gridB
@@ -86,22 +80,14 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
 
   /** (dataset, method, swapModel) → score for AutoFS_R / NFS / E-AFE. */
   lazy val tableVScores: Map[(String, String, String), Double] = {
-    val sel = for {
-      ds <- datasets
-      m  <- Seq("fsr", "nfs", "eafe:ccws")
-    } yield (ds, m, grid((ds, m)).selectedKeys)
     val work = for {
-      (ds, m, keys) <- sel
-      swap          <- Seq("svm", "nbgp", "mlp")
-    } yield (ds, m, swap, keys)
-    val sd = seed
-    spark.sparkContext
-      .parallelize(work, work.size)
-      .map { case (ds, m, swap, keys) =>
-        (ds, m, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
-      }
-      .collect()
-      .toMap
+      ds   <- datasets
+      m    <- Seq("fsr", "nfs", "eafe:ccws")
+      swap <- Seq("svm", "nbgp", "mlp")
+    } yield (ds, m, swap, grid((ds, m)).selectedKeys, seed)
+    FanOut.map(Some(spark), work) { case (ds, m, swap, keys, sd) =>
+      (ds, m, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
+    }.toMap
   }
 
   // --- Table I --------------------------------------------------------------

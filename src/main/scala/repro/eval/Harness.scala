@@ -63,10 +63,6 @@ object Harness {
     (train, valSet, if (test.isEmpty) valSet else test)
   }
 
-  private def paperMetric(classification: Boolean, yTrue: Array[Double],
-                          yPred: Array[Double]): Double =
-    if (classification) Metrics.f1Paper(yTrue, yPred) else Metrics.oneMinusRae(yTrue, yPred)
-
   /** DL baselines consume the RAW dataset (up to 64 features, no RF-importance
     * pre-selection) — the paper's RTDL_N runs on the raw target datasets,
     * which is exactly why it collapses in p≫n regimes like secom.
@@ -85,7 +81,7 @@ object Harness {
     val featTest  = test.map(i => net.features(d.x(i)))
     val rf        = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
     val model     = rf.fit(featTrain, train.map(d.y))
-    val score     = paperMetric(d.classification, test.map(d.y), featTest.map(model.predict))
+    val score     = Metrics.paper(d.classification, test.map(d.y), featTest.map(model.predict))
     RunResult(name, "dln", "", 0.0, score, 0, 1, 0, 0, (System.nanoTime() - t0) / 1e6,
       Seq.empty, Seq(score))
   }
@@ -100,7 +96,7 @@ object Harness {
     val (train, _, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     val score =
-      paperMetric(d.classification, test.map(d.y), test.map(i => net.predict(x(i))))
+      Metrics.paper(d.classification, test.map(d.y), test.map(i => net.predict(x(i))))
     RunResult(name, "fe_dl", "", 0.0, score, 0, 1, 0, 0, (System.nanoTime() - t0) / 1e6,
       selectedKeys, Seq(score))
   }
@@ -119,28 +115,14 @@ object Harness {
     val heldOut  = d.x.indices.filterNot(trainSet.contains).toArray
     val feats    = heldOut.map(i => net.features(d.x(i)))
     val yHeld    = heldOut.map(d.y)
-    val p        = feats(0).length
-    val rng      = new Random(seed)
-    val probs    = Array.fill(p)(0.7)
-    val learner = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
+    val learner  = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
     def subsetScore(keep: Seq[Int]): Double =
       if (keep.isEmpty) 0.0
       else CrossVal.score(feats.map(r => keep.map(r).toArray), yHeld, learner, 3, seed)
-    var best  = subsetScore(0 until p)
-    var meanS = best
-    var evals = 1
-    for (_ <- 0 until 8) {
-      val keep = (0 until p).filter(j => rng.nextDouble() < probs(j))
-      val s    = subsetScore(keep)
-      evals += 1
-      val adv = s - meanS
-      (0 until p).foreach { j =>
-        probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (keep.contains(j)) 1 else -1)))
-      }
-      meanS = 0.8 * meanS + 0.2 * s
-      if (s > best) best = s
-    }
-    RunResult(name, "dl_fe", "", 0.0, best, 0, evals.toLong, 0, 0,
+    val all    = subsetScore(feats(0).indices)
+    val rounds = SubsetSearch.run(feats(0).length, 0, 8, all, new Random(seed))(subsetScore)
+    val best   = rounds.foldLeft(all) { case (b, (_, s)) => if (s > b) s else b }
+    RunResult(name, "dl_fe", "", 0.0, best, 0, 1L + rounds.size, 0, 0,
       (System.nanoTime() - t0) / 1e6, Seq.empty, Seq(best))
   }
 

@@ -1,6 +1,7 @@
 package repro.fpe
 
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.core.{FeatExpr, Ops, Raw}
 import repro.data.TabularData
 import repro.ml.{CrossVal, RandomForest}
@@ -9,9 +10,7 @@ import scala.util.Random
 /** Equ. 3 — label feature effectiveness on the public pre-training datasets.
   *
   * For dataset i with base score A₀ⁱ, feature j is labeled effective (1) iff
-  * removing it costs more than `thre`: A₀ⁱ − Aⱼⁱ > thre. The (dataset ×
-  * feature) leave-one-out grid is embarrassingly parallel and fans out as a
-  * Spark job when a session is supplied.
+  * removing it costs more than `thre`: A₀ⁱ − Aⱼⁱ > thre.
   */
 object FpeLabeler {
 
@@ -39,35 +38,14 @@ object FpeLabeler {
       cfg.folds, cfg.seed,
     )
 
-  /** Equ. 3 label of feature j of d, whose base score is a0. */
-  private def labelFeature(d: TabularData, a0: Double, j: Int, cfg: Config): LabeledFeature = {
-    val residual = d.select((0 until d.nFeatures).filter(_ != j))
-    val aj       = if (d.nFeatures == 1) 0.0 else cvScore(residual, cfg)
-    val gain     = a0 - aj
-    LabeledFeature(d.name, j, d.column(j), gain, if (gain > cfg.thre) 1 else 0)
-  }
-
-  /** Label one dataset locally. */
-  def labelDataset(d: TabularData, cfg: Config): Seq[LabeledFeature] = {
-    val a0 = cvScore(d, cfg)
-    (0 until d.nFeatures).map(labelFeature(d, a0, _, cfg))
-  }
-
-  /** Label randomly *generated* transformation features on one dataset by
-    * their add-one-in gain: label 1 iff score(D ∪ {f}) − score(D) > thre.
-    *
-    * The paper's Equ. 3 labels original features by leave-one-out; at
-    * deployment, however, the FPE model judges *generated* features, whose
-    * value distributions (products, ratios, sawtooth modulos, …) never occur
-    * among raw columns. Mixing add-one-in labels over generated candidates
-    * into pre-training closes that distribution gap (DESIGN.md §2).
+  /** `nGen` random generated candidates on d, some of order 2, drawn from
+    * d's own RNG stream.
     */
-  def labelGenerated(d: TabularData, cfg: Config, nGen: Int): Seq[LabeledFeature] = {
+  private def generate(d: TabularData, cfg: Config, nGen: Int): IndexedSeq[Array[Double]] = {
     val rng  = new Random(cfg.seed ^ d.name.hashCode.toLong)
-    val a0   = cvScore(d, cfg)
     val cols = d.columns
     val memo = scala.collection.mutable.Map.empty[String, Array[Double]]
-    (0 until nGen).map { k =>
+    (0 until nGen).map { _ =>
       val op    = Ops.all(rng.nextInt(Ops.all.length))
       val i     = rng.nextInt(d.nFeatures)
       val j     = rng.nextInt(d.nFeatures)
@@ -77,42 +55,23 @@ object FpeLabeler {
           FeatExpr.derive(Ops.all(rng.nextInt(Ops.all.length)), inner,
             Raw(rng.nextInt(d.nFeatures)))
         else inner
-      val f    = e.evalLocal(cols, memo)
-      val gain = cvScore(d.withColumns(Seq(f)), cfg) - a0
-      LabeledFeature(d.name, d.nFeatures + k, f, gain, if (gain > cfg.thre) 1 else 0)
+      e.evalLocal(cols, memo)
     }
   }
 
-  /** Label all datasets; with a SparkSession the (dataset, feature) pairs run
-    * as one task each.
-    */
-  def labelAll(
-      datasets: Seq[TabularData],
-      cfg: Config = Config(),
-      spark: Option[SparkSession] = None,
-  ): Seq[LabeledFeature] = spark match {
-    case None => datasets.flatMap(labelDataset(_, cfg))
-    case Some(s) =>
-      val a0 = datasets.map(d => d.name -> cvScore(d, cfg)).toMap
-      val bc = s.sparkContext.broadcast((datasets.map(d => d.name -> d).toMap, a0, cfg))
-      val pairs = for {
-        d <- datasets
-        j <- 0 until d.nFeatures
-      } yield (d.name, j)
-      s.sparkContext
-        .parallelize(pairs, math.min(pairs.size, s.sparkContext.defaultParallelism * 2))
-        .map { case (name, j) =>
-          val (dm, a0m, c) = bc.value
-          labelFeature(dm(name), a0m(name), j, c)
-        }
-        .collect()
-        .toSeq
-        .sortBy(lf => (lf.dataset, lf.featureIdx))
-  }
-
-  /** Equ. 3 leave-one-out labels plus add-one-in labels over generated
-    * candidates — the full FPE pre-training set (both phases fan out on
-    * Spark when a session is supplied).
+  /** The full FPE pre-training set: Equ. 3 leave-one-out labels of every raw
+    * feature, then add-one-in labels of `genPerDataset` random *generated*
+    * candidates per dataset (label 1 iff score(D ∪ {f}) − score(D) > thre).
+    *
+    * At deployment the FPE model judges generated features, whose value
+    * distributions (products, ratios, sawtooth modulos, …) never occur among
+    * raw columns; the add-one-in labels close that distribution gap
+    * (DESIGN.md §2).
+    *
+    * Every CV — each dataset's base set, its leave-one-out residuals and its
+    * add-one-in sets — runs in one [[FanOut]]. Labels come in (dataset name,
+    * feature index) order, leave-one-out first; dataset d's generated
+    * candidates take indices p, p + 1, … after its p raw features.
     */
   def labelAllWithGenerated(
       datasets: Seq[TabularData],
@@ -120,22 +79,30 @@ object FpeLabeler {
       genPerDataset: Int = 8,
       spark: Option[SparkSession] = None,
   ): Seq[LabeledFeature] = {
-    val loo = labelAll(datasets, cfg, spark)
-    val gen = spark match {
-      case None => datasets.flatMap(labelGenerated(_, cfg, genPerDataset))
-      case Some(s) =>
-        val bc = s.sparkContext.broadcast(
-          (datasets.map(d => d.name -> d).toMap, cfg, genPerDataset))
-        s.sparkContext
-          .parallelize(datasets.map(_.name), datasets.size)
-          .flatMap { name =>
-            val (dm, c, g) = bc.value
-            labelGenerated(dm(name), c, g)
-          }
-          .collect()
-          .toSeq
-          .sortBy(lf => (lf.dataset, lf.featureIdx))
-    }
-    loo ++ gen
+    val ds  = datasets.sortBy(_.name).toVector
+    val gen = ds.map(generate(_, cfg, genPerDataset))
+    // CV v of dataset i: the whole set (v = -1), without feature v (v < p),
+    // or with generated column v − p. A one-feature dataset has no residual.
+    val cvs = for {
+      (d, i) <- ds.zipWithIndex
+      v      <- -1 until d.nFeatures + genPerDataset
+      if v != 0 || d.nFeatures > 1
+    } yield (i, v)
+    val score = cvs.zip(FanOut.map(spark, cvs) { case (i, v) =>
+      val d = ds(i)
+      val p = d.nFeatures
+      cvScore(
+        if (v < 0) d
+        else if (v < p) d.select((0 until p).filter(_ != v))
+        else d.withColumns(Seq(gen(i)(v - p))),
+        cfg)
+    }).toMap
+    def label(d: TabularData, j: Int, values: Array[Double], gain: Double) =
+      LabeledFeature(d.name, j, values, gain, if (gain > cfg.thre) 1 else 0)
+    val loo = for ((d, i) <- ds.zipWithIndex; j <- 0 until d.nFeatures)
+      yield label(d, j, d.column(j), score((i, -1)) - score.getOrElse((i, j), 0.0))
+    val added = for ((d, i) <- ds.zipWithIndex; k <- 0 until genPerDataset)
+      yield label(d, d.nFeatures + k, gen(i)(k), score((i, d.nFeatures + k)) - score((i, -1)))
+    loo ++ added
   }
 }

@@ -68,9 +68,9 @@ object MinHashes {
   }
 
   /** The per-row hash score for one signature dimension; the selected row is
-    * the argmin. Exposed so the Spark aggregation can share it exactly.
+    * the argmin.
     */
-  private[hash] def score(
+  private def score(
       variant: HashVariant, w: Double, seed: Long, dim: Int, row: Int): Double =
     variant match {
       case HashVariant.Plain =>

@@ -21,5 +21,5 @@ trait Learner extends Serializable {
     * or 1−RAE.
     */
   def metric(yTrue: Array[Double], yPred: Array[Double]): Double =
-    if (isClassifier) Metrics.f1Paper(yTrue, yPred) else Metrics.oneMinusRae(yTrue, yPred)
+    Metrics.paper(isClassifier, yTrue, yPred)
 }

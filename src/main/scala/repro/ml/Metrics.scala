@@ -68,6 +68,12 @@ object Metrics {
     else f1Weighted(yTrue, yPred)
   }
 
+  /** The paper's metric for a task type: `f1Paper` for classification,
+    * `oneMinusRae` for regression.
+    */
+  def paper(classification: Boolean, yTrue: Array[Double], yPred: Array[Double]): Double =
+    if (classification) f1Paper(yTrue, yPred) else oneMinusRae(yTrue, yPred)
+
   /** 1 − relative absolute error, clamped to [0, 1]. */
   def oneMinusRae(yTrue: Array[Double], yPred: Array[Double]): Double = {
     require(yTrue.length == yPred.length && yTrue.nonEmpty, "empty or mismatched inputs")

@@ -11,8 +11,8 @@ class EngineSpec extends SparkSpec {
     SyntheticTabular.Spec("engine-ds", 200, 5, classification = true, seed = 21))
 
   private lazy val fpe: FpeModel.Trained = {
-    val labeled = FpeLabeler.labelAll(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5))
+    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
+      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16), seed = 1)
   }
 

@@ -2,7 +2,6 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core.MethodConfig
-import repro.data.DatasetRegistry
 
 class HarnessSpec extends SparkSpec {
 

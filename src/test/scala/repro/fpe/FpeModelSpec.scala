@@ -41,8 +41,8 @@ class FpeModelSpec extends SparkSpec {
   }
 
   test("trainBest runs Algorithm 1's grid and returns the recall maximizer") {
-    val labeled = FpeLabeler.labelAll(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5))
+    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
+      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     val trained = FpeModel.trainBest(labeled, dims = Seq(8, 16), seed = 2)
     assert(Seq(8, 16).contains(trained.d))
     assert(trained.recall >= 0.0 && trained.recall <= 1.0)
@@ -51,8 +51,8 @@ class FpeModelSpec extends SparkSpec {
   }
 
   test("trained model pre-evaluates arbitrary-length features") {
-    val labeled = FpeLabeler.labelAll(DatasetRegistry.publicPretrain(4),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5))
+    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(4),
+      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     val trained = FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS),
       dims = Seq(8), seed = 3)
     val short = Array.fill(30)(rng.nextGaussian())
