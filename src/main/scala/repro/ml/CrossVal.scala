@@ -3,7 +3,9 @@ package repro.ml
 import scala.util.Random
 
 /** Seeded k-fold cross-validation returning the learner's paper metric
-  * (weighted F1 for classification, 1−RAE for regression).
+  * ([[Metrics.f1Paper]] for classification: F1 of label 1 when a test
+  * fold's labels are within {0, 1}, support-weighted F1 otherwise; 1−RAE
+  * for regression).
   *
   * Classification folds are stratified (round-robin within each class) so
   * tiny datasets do not produce single-class training folds.
@@ -42,10 +44,12 @@ object CrossVal {
     val fs     = folds(y, kk, learner.isClassifier, seed)
     var total  = 0.0
     var nFolds = 0
+    val inTest = new Array[Boolean](x.length)
     fs.foreach { testIdx =>
       if (testIdx.nonEmpty && testIdx.length < x.length) {
-        val testSet  = testIdx.toSet
-        val trainIdx = x.indices.filterNot(testSet.contains).toArray
+        java.util.Arrays.fill(inTest, false)
+        testIdx.foreach(inTest(_) = true)
+        val trainIdx = x.indices.filterNot(inTest).toArray
         val model    = learner.fit(trainIdx.map(x), trainIdx.map(y))
         val preds    = testIdx.map(i => model.predict(x(i)))
         total += learner.metric(testIdx.map(y), preds)

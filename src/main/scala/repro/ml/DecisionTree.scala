@@ -8,6 +8,12 @@ import scala.util.Random
   * doubles); regression uses variance reduction. `featureSubset` controls the
   * number of candidate features examined per split (√p for classification
   * forests, p/3 for regression forests, p for a plain tree).
+  *
+  * A fit sorts each feature's rows once (SLIQ's attribute lists: Mehta et
+  * al., EDBT 1996) by `java.lang.Double.compare` on the value, then by row
+  * position. A split stable-partitions every list, so each node sees its
+  * rows in that order without sorting again. Class counts are `Array[Int]`s
+  * indexed by the label's rank among the distinct labels.
   */
 final class DecisionTree(
     val classification: Boolean,
@@ -22,126 +28,225 @@ final class DecisionTree(
 
   override def fit(x: Array[Array[Double]], y: Array[Double]): Fitted = {
     require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
-    val p       = x(0).length
-    val rng     = new Random(seed)
-    val indices = Array.range(0, x.length)
-    val imp     = new Array[Double](p)
-    val root    = build(x, y, indices, p, depth = 0, rng, imp)
-    new Fitted(root, imp)
+    grow(new Presorted(x, y, classification), Array.range(0, x.length))
   }
 
-  private def leafValue(y: Array[Double], idx: Array[Int]): Double =
-    if (classification) {
-      // Majority vote; ties broken toward the smaller label for determinism.
-      val counts = scala.collection.mutable.Map.empty[Double, Int]
-      idx.foreach(i => counts(y(i)) = counts.getOrElse(y(i), 0) + 1)
-      counts.toSeq.maxBy { case (label, c) => (c, -label) }._1
-    } else {
-      var s = 0.0; idx.foreach(s += y(_)); s / idx.length
-    }
+  /** Fits on `rows`, a row map into `data` (a bootstrap: rows may repeat).
+    * Position k of the tree's training set is `data`'s row `rows(k)`.
+    */
+  private[ml] def grow(data: Presorted, rows: Array[Int]): Fitted = {
+    val g = new Grower(data, rows)
+    new Fitted(g.build(0, rows.length, depth = 0), g.imp)
+  }
 
-  private def impurity(y: Array[Double], idx: Array[Int]): Double =
-    if (classification) {
-      val counts = scala.collection.mutable.Map.empty[Double, Int]
-      idx.foreach(i => counts(y(i)) = counts.getOrElse(y(i), 0) + 1)
-      val n = idx.length.toDouble
-      1.0 - counts.valuesIterator.map { c => val f = c / n; f * f }.sum
-    } else {
-      val n    = idx.length.toDouble
-      var s    = 0.0
-      var s2   = 0.0
-      idx.foreach { i => s += y(i); s2 += y(i) * y(i) }
-      math.max(0.0, s2 / n - (s / n) * (s / n))
-    }
-
-  private def build(
-      x: Array[Array[Double]],
-      y: Array[Double],
-      idx: Array[Int],
-      p: Int,
-      depth: Int,
-      rng: Random,
-      imp: Array[Double],
-  ): Node = {
-    if (depth >= maxDepth || idx.length < 2 * minLeaf) return Leaf(leafValue(y, idx))
-    val parentImp = impurity(y, idx)
-    if (parentImp < 1e-12) return Leaf(leafValue(y, idx))
-
-    val nFeat    = math.max(1, math.min(p, featureSubset(p)))
-    val features = rng.shuffle((0 until p).toList).take(nFeat)
-
-    var bestGain   = 1e-9
-    var bestFeat   = -1
-    var bestThr    = 0.0
-    val n          = idx.length.toDouble
-
-    for (f <- features) {
-      val sorted = idx.sortBy(i => x(i)(f))
-      if (classification) {
-        // Incremental class-count scan.
-        val leftCounts  = scala.collection.mutable.Map.empty[Double, Int]
-        val rightCounts = scala.collection.mutable.Map.empty[Double, Int]
-        sorted.foreach(i => rightCounts(y(i)) = rightCounts.getOrElse(y(i), 0) + 1)
-        var nl    = 0
-        var giniL = 0.0
-        var giniR = 0.0
-        var k     = 0
-        while (k < sorted.length - 1) {
-          val i   = sorted(k)
-          leftCounts(y(i)) = leftCounts.getOrElse(y(i), 0) + 1
-          rightCounts(y(i)) = rightCounts(y(i)) - 1
-          nl += 1
-          val nr = sorted.length - nl
-          val v0 = x(i)(f)
-          val v1 = x(sorted(k + 1))(f)
-          if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
-            giniL = 1.0 - leftCounts.valuesIterator.map { c => val q = c.toDouble / nl; q * q }.sum
-            giniR = 1.0 - rightCounts.valuesIterator
-              .map { c => val q = c.toDouble / nr; q * q }
-              .sum
-            val gain = parentImp - (nl / n) * giniL - (nr / n) * giniR
-            if (gain > bestGain) { bestGain = gain; bestFeat = f; bestThr = (v0 + v1) / 2 }
-          }
-          k += 1
-        }
-      } else {
-        var sl  = 0.0; var sl2 = 0.0
-        var sr  = 0.0; var sr2 = 0.0
-        sorted.foreach { i => sr += y(i); sr2 += y(i) * y(i) }
-        var nl = 0
-        var k  = 0
-        while (k < sorted.length - 1) {
-          val i  = sorted(k)
-          sl += y(i); sl2 += y(i) * y(i)
-          sr -= y(i); sr2 -= y(i) * y(i)
-          nl += 1
-          val nr = sorted.length - nl
-          val v0 = x(i)(f)
-          val v1 = x(sorted(k + 1))(f)
-          if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
-            val varL = math.max(0.0, sl2 / nl - (sl / nl) * (sl / nl))
-            val varR = math.max(0.0, sr2 / nr - (sr / nr) * (sr / nr))
-            val gain = parentImp - (nl / n) * varL - (nr / n) * varR
-            if (gain > bestGain) { bestGain = gain; bestFeat = f; bestThr = (v0 + v1) / 2 }
-          }
-          k += 1
+  /** The state of one fit. `order(f)` holds the positions sorted by feature f
+    * (ties by position); `order(p)` holds them in position order. A node owns
+    * the range [lo, hi) of every list.
+    */
+  private final class Grower(data: Presorted, rows: Array[Int]) {
+    private val n     = rows.length
+    private val p     = data.p
+    private val rng   = new Random(seed)
+    val imp           = new Array[Double](p)
+    private val yv    = rows.map(data.y)
+    private val label = if (classification) rows.map(data.label) else null
+    private val k     = data.classes.length
+    private val left  = new Array[Int](k)
+    private val right = new Array[Int](k)
+    private val goLeft = new Array[Boolean](n)
+    private val buf    = new Array[Int](n)
+    private val order  = {
+      val keys = new Array[Long](n)
+      Array.tabulate(p + 1) { f =>
+        if (f == p) Array.range(0, n)
+        else {
+          val rank = data.ranks(f)
+          var i    = 0
+          while (i < n) { keys(i) = rank(rows(i)).toLong << 32 | i; i += 1 }
+          java.util.Arrays.sort(keys)
+          keys.map(_.toInt)
         }
       }
     }
 
-    if (bestFeat < 0) return Leaf(leafValue(y, idx))
-    imp(bestFeat) += bestGain * idx.length
-    val (li, ri) = idx.partition(i => x(i)(bestFeat) <= bestThr)
-    if (li.isEmpty || ri.isEmpty) return Leaf(leafValue(y, idx))
-    Split(bestFeat, bestThr, build(x, y, li, p, depth + 1, rng, imp),
-      build(x, y, ri, p, depth + 1, rng, imp))
+    /** Counts the node's labels into `counts`. */
+    private def count(lo: Int, hi: Int, counts: Array[Int]): Unit = {
+      java.util.Arrays.fill(counts, 0)
+      var i = lo
+      while (i < hi) { counts(label(order(p)(i))) += 1; i += 1 }
+    }
+
+    /** Σ (count/total)² over labels in ascending order. */
+    private def sumSquares(counts: Array[Int], total: Double): Double = {
+      var s = 0.0
+      var c = 0
+      while (c < k) { val q = counts(c) / total; s += q * q; c += 1 }
+      s
+    }
+
+    private def leaf(lo: Int, hi: Int): Leaf =
+      if (classification) {
+        // Majority vote; ties broken toward the smaller label for determinism.
+        count(lo, hi, left)
+        var best = 0
+        var c    = 1
+        while (c < k) { if (left(c) > left(best)) best = c; c += 1 }
+        Leaf(data.classes(best), best)
+      } else {
+        var s = 0.0
+        var i = lo
+        while (i < hi) { s += yv(order(p)(i)); i += 1 }
+        Leaf(s / (hi - lo), -1)
+      }
+
+    private def impurity(lo: Int, hi: Int): Double = {
+      val m = (hi - lo).toDouble
+      if (classification) {
+        count(lo, hi, left)
+        1.0 - sumSquares(left, m)
+      } else {
+        var s  = 0.0
+        var s2 = 0.0
+        var i  = lo
+        while (i < hi) { val v = yv(order(p)(i)); s += v; s2 += v * v; i += 1 }
+        math.max(0.0, s2 / m - (s / m) * (s / m))
+      }
+    }
+
+    def build(lo: Int, hi: Int, depth: Int): Node = {
+      val m = hi - lo
+      if (depth >= maxDepth || m < 2 * minLeaf) return leaf(lo, hi)
+      val parentImp = impurity(lo, hi)
+      if (parentImp < 1e-12) return leaf(lo, hi)
+
+      val nFeat    = math.max(1, math.min(p, featureSubset(p)))
+      val features = rng.shuffle((0 until p).toList).take(nFeat)
+
+      var bestGain = 1e-9
+      var bestFeat = -1
+      var bestThr  = 0.0
+      val nd       = m.toDouble
+
+      for (f <- features) {
+        val sorted = order(f)
+        val col    = data.cols(f)
+        if (classification) {
+          // Incremental class-count scan.
+          java.util.Arrays.fill(left, 0)
+          count(lo, hi, right)
+          var nl = 0
+          var i  = lo
+          while (i < hi - 1) {
+            val c = label(sorted(i))
+            left(c) += 1
+            right(c) -= 1
+            nl += 1
+            val nr = m - nl
+            val v0 = col(rows(sorted(i)))
+            val v1 = col(rows(sorted(i + 1)))
+            if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
+              val giniL = 1.0 - sumSquares(left, nl)
+              val giniR = 1.0 - sumSquares(right, nr)
+              val gain  = parentImp - (nl / nd) * giniL - (nr / nd) * giniR
+              if (gain > bestGain) { bestGain = gain; bestFeat = f; bestThr = (v0 + v1) / 2 }
+            }
+            i += 1
+          }
+        } else {
+          var sl = 0.0; var sl2 = 0.0
+          var sr = 0.0; var sr2 = 0.0
+          var i  = lo
+          while (i < hi) { val v = yv(sorted(i)); sr += v; sr2 += v * v; i += 1 }
+          var nl = 0
+          i = lo
+          while (i < hi - 1) {
+            val v = yv(sorted(i))
+            sl += v; sl2 += v * v
+            sr -= v; sr2 -= v * v
+            nl += 1
+            val nr = m - nl
+            val v0 = col(rows(sorted(i)))
+            val v1 = col(rows(sorted(i + 1)))
+            if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
+              val varL = math.max(0.0, sl2 / nl - (sl / nl) * (sl / nl))
+              val varR = math.max(0.0, sr2 / nr - (sr / nr) * (sr / nr))
+              val gain = parentImp - (nl / nd) * varL - (nr / nd) * varR
+              if (gain > bestGain) { bestGain = gain; bestFeat = f; bestThr = (v0 + v1) / 2 }
+            }
+            i += 1
+          }
+        }
+      }
+
+      if (bestFeat < 0) return leaf(lo, hi)
+      imp(bestFeat) += bestGain * m
+      // The split follows the predicate, not the scan's prefix: a midpoint
+      // can round onto v1 or be NaN (−Inf with +Inf).
+      val col   = data.cols(bestFeat)
+      var nLeft = 0
+      var i     = lo
+      while (i < hi) {
+        val pos = order(p)(i)
+        goLeft(pos) = col(rows(pos)) <= bestThr
+        if (goLeft(pos)) nLeft += 1
+        i += 1
+      }
+      if (nLeft == 0 || nLeft == m) return leaf(lo, hi)
+      order.foreach(partition(_, lo, hi))
+      Split(bestFeat, bestThr, build(lo, lo + nLeft, depth + 1), build(lo + nLeft, hi, depth + 1))
+    }
+
+    /** Stable partition of `a`'s range [lo, hi) by `goLeft`. */
+    private def partition(a: Array[Int], lo: Int, hi: Int): Unit = {
+      var l = lo
+      var r = 0
+      var i = lo
+      while (i < hi) {
+        val pos = a(i)
+        if (goLeft(pos)) { a(l) = pos; l += 1 } else { buf(r) = pos; r += 1 }
+        i += 1
+      }
+      System.arraycopy(buf, 0, a, l, r)
+    }
   }
 }
 
 object DecisionTree {
 
+  /** What every tree of one fit shares, computed once: the columns, each
+    * value's dense rank in its column by `java.lang.Double.compare` (so
+    * −0.0 < 0.0 and NaN ranks last), and for classification the distinct
+    * labels in ascending order and each row's index into them.
+    */
+  private[ml] final class Presorted(x: Array[Array[Double]], val y: Array[Double], classification: Boolean) {
+    val p: Int                       = x(0).length
+    val cols: Array[Array[Double]]   = Array.tabulate(p)(f => x.map(_(f)))
+    val ranks: Array[Array[Int]]     = cols.map(denseRanks)
+    val classes: Array[Double]       = if (classification) distinctSorted(y) else Array.empty
+    val label: Array[Int]            =
+      if (classification) y.map(java.util.Arrays.binarySearch(classes, _)) else Array.empty
+  }
+
+  private def distinctSorted(v: Array[Double]): Array[Double] = {
+    val s = v.clone()
+    java.util.Arrays.sort(s)
+    var u = 0
+    var i = 0
+    while (i < s.length) {
+      if (u == 0 || java.lang.Double.compare(s(u - 1), s(i)) != 0) { s(u) = s(i); u += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(s, u)
+  }
+
+  private def denseRanks(col: Array[Double]): Array[Int] = {
+    val values = distinctSorted(col)
+    col.map(java.util.Arrays.binarySearch(values, _))
+  }
+
   private[ml] sealed trait Node extends Serializable
-  private final case class Leaf(value: Double) extends Node
+  /** `cls` is the label's index in its fit's ascending labels (−1 for regression). */
+  private[ml] final case class Leaf(value: Double, cls: Int) extends Node
   private final case class Split(feature: Int, threshold: Double, left: Node, right: Node)
       extends Node
 
@@ -149,15 +254,17 @@ object DecisionTree {
     * on feature f, each weighted by its node's row count.
     */
   final class Fitted private[ml] (root: Node, val importances: Array[Double]) extends Model {
-    override def predict(x: Array[Double]): Double = {
+    private[ml] def leaf(x: Array[Double]): Leaf = {
       var node = root
       while (true) {
         node match {
-          case Leaf(v)                 => return v
+          case l: Leaf                 => return l
           case Split(f, thr, lt, rt)   => node = if (x(f) <= thr) lt else rt
         }
       }
-      0.0 // unreachable
+      null // unreachable
     }
+
+    override def predict(x: Array[Double]): Double = leaf(x).value
   }
 }

@@ -2,10 +2,10 @@ package repro.ml
 
 /** Evaluation metrics used throughout the paper (Section IV-A2).
   *
-  * Classification is scored with F1 (weighted one-vs-rest, which reduces to
-  * the usual positive-class/negative-class average for binary problems) and
-  * regression with 1 − relative-absolute-error. 1−RAE is clamped at 0, which
-  * reproduces the paper's literal `0.000` entries for collapsed models.
+  * Classification is scored with `f1Paper`: the positive class's F1 (label
+  * 1) for binary 0/1 problems, support-weighted one-vs-rest F1 otherwise.
+  * Regression is scored with 1 − relative-absolute-error, clamped at 0,
+  * which reproduces the paper's literal `0.000` entries for collapsed models.
   */
 object Metrics {
 

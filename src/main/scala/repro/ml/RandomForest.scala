@@ -6,6 +6,8 @@ import scala.util.Random
   *
   * Bagging over [[DecisionTree]]s with per-split random feature subsets
   * (√p for classification, p/3 for regression). Deterministic in `seed`.
+  * A fit ranks each feature's values once for all its trees and hands each
+  * tree its bootstrap as a row map into `x`, so no rows are copied.
   */
 final class RandomForest(
     val classification: Boolean,
@@ -24,19 +26,18 @@ final class RandomForest(
     val subset: Int => Int =
       if (classification) q => math.max(1, math.ceil(math.sqrt(q)).toInt)
       else q => math.max(1, q / 3)
-    val imp = Array.fill(p)(0.0)
-    val trees = Array.tabulate(nTrees) { t =>
+    val data = new DecisionTree.Presorted(x, y, classification)
+    val imp  = Array.fill(p)(0.0)
+    val trees = Array.tabulate(nTrees) { _ =>
       val treeSeed = rng.nextLong()
       val bootRng  = new Random(treeSeed ^ 0x9e3779b97f4a7c15L)
-      val bootIdx  = Array.fill(x.length)(bootRng.nextInt(x.length))
-      val bx       = bootIdx.map(x)
-      val by       = bootIdx.map(y)
-      val m        = new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).fit(bx, by)
+      val rows     = Array.fill(x.length)(bootRng.nextInt(x.length))
+      val m        = new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).grow(data, rows)
       for (f <- 0 until p) imp(f) += m.importances(f)
       m
     }
     val total = imp.sum
-    new RandomForest.Fitted(trees, classification, if (total > 0) imp.map(_ / total) else imp)
+    new RandomForest.Fitted(trees, data.classes, if (total > 0) imp.map(_ / total) else imp)
   }
 }
 
@@ -47,17 +48,18 @@ object RandomForest {
     */
   final class Fitted private[ml] (
       trees: Array[DecisionTree.Fitted],
-      classification: Boolean,
+      classes: Array[Double],
       val importances: Array[Double],
   ) extends Model {
     override def predict(x: Array[Double]): Double =
-      if (classification) {
-        val votes = scala.collection.mutable.Map.empty[Double, Int]
-        trees.foreach { m =>
-          val v = m.predict(x)
-          votes(v) = votes.getOrElse(v, 0) + 1
-        }
-        votes.toSeq.maxBy { case (label, c) => (c, -label) }._1
+      if (classes.nonEmpty) {
+        // Majority vote over the ascending labels; ties go to the smaller label.
+        val votes = new Array[Int](classes.length)
+        trees.foreach(m => votes(m.leaf(x).cls) += 1)
+        var best = 0
+        var c    = 1
+        while (c < votes.length) { if (votes(c) > votes(best)) best = c; c += 1 }
+        classes(best)
       } else {
         var s = 0.0
         trees.foreach(s += _.predict(x))
