@@ -254,15 +254,12 @@ object DecisionTree {
     * on feature f, each weighted by its node's row count.
     */
   final class Fitted private[ml] (root: Node, val importances: Array[Double]) extends Model {
-    private[ml] def leaf(x: Array[Double]): Leaf = {
-      var node = root
-      while (true) {
-        node match {
-          case l: Leaf                 => return l
-          case Split(f, thr, lt, rt)   => node = if (x(f) <= thr) lt else rt
-        }
-      }
-      null // unreachable
+    private[ml] def leaf(x: Array[Double]): Leaf = walk(root, x)
+
+    @annotation.tailrec
+    private def walk(node: Node, x: Array[Double]): Leaf = node match {
+      case l: Leaf               => l
+      case Split(f, thr, lt, rt) => walk(if (x(f) <= thr) lt else rt, x)
     }
 
     override def predict(x: Array[Double]): Double = leaf(x).value
