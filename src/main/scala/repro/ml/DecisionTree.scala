@@ -11,9 +11,11 @@ import scala.util.Random
   *
   * A fit sorts each feature's rows once (SLIQ's attribute lists: Mehta et
   * al., EDBT 1996) by `java.lang.Double.compare` on the value, then by row
-  * position. A split stable-partitions every list, so each node sees its
-  * rows in that order without sorting again. Class counts are `Array[Int]`s
-  * indexed by the label's rank among the distinct labels.
+  * position: a counting sort on the value's rank, which [[Presorted]]
+  * computes once for all trees of a forest. A split stable-partitions every
+  * list, so each node sees its rows in that order without sorting again.
+  * Class counts are `Array[Int]`s indexed by the label's rank among the
+  * distinct labels.
   */
 final class DecisionTree(
     val classification: Boolean,
@@ -55,18 +57,41 @@ final class DecisionTree(
     private val right = new Array[Int](k)
     private val goLeft = new Array[Boolean](n)
     private val buf    = new Array[Int](n)
+    private val perm   = new Array[Int](p)
     private val order  = {
-      val keys = new Array[Long](n)
+      val start = new Array[Int](data.y.length + 1)
       Array.tabulate(p + 1) { f =>
         if (f == p) Array.range(0, n)
         else {
+          // Counting sort by rank; positions ascend within a rank.
           val rank = data.ranks(f)
-          var i    = 0
-          while (i < n) { keys(i) = rank(rows(i)).toLong << 32 | i; i += 1 }
-          java.util.Arrays.sort(keys)
-          keys.map(_.toInt)
+          val out  = new Array[Int](n)
+          java.util.Arrays.fill(start, 0)
+          var i = 0
+          while (i < n) { start(rank(rows(i)) + 1) += 1; i += 1 }
+          i = 1
+          while (i < start.length) { start(i) += start(i - 1); i += 1 }
+          i = 0
+          while (i < n) { val r = rank(rows(i)); out(start(r)) = i; start(r) += 1; i += 1 }
+          out
         }
       }
+    }
+
+    /** The first `nFeat` of a fresh shuffle of 0 until p, drawn exactly as
+      * `scala.util.Random.shuffle` draws: for i from p down to 2, swap
+      * i − 1 with `nextInt(i)`.
+      */
+    private def features(nFeat: Int): Array[Int] = {
+      var i = 0
+      while (i < p) { perm(i) = i; i += 1 }
+      i = p
+      while (i >= 2) {
+        val j = rng.nextInt(i)
+        val t = perm(i - 1); perm(i - 1) = perm(j); perm(j) = t
+        i -= 1
+      }
+      java.util.Arrays.copyOf(perm, nFeat)
     }
 
     /** Counts the node's labels into `counts`. */
@@ -119,15 +144,14 @@ final class DecisionTree(
       val parentImp = impurity(lo, hi)
       if (parentImp < 1e-12) return leaf(lo, hi)
 
-      val nFeat    = math.max(1, math.min(p, featureSubset(p)))
-      val features = rng.shuffle((0 until p).toList).take(nFeat)
+      val nFeat = math.max(1, math.min(p, featureSubset(p)))
 
       var bestGain = 1e-9
       var bestFeat = -1
       var bestThr  = 0.0
       val nd       = m.toDouble
 
-      for (f <- features) {
+      for (f <- features(nFeat)) {
         val sorted = order(f)
         val col    = data.cols(f)
         if (classification) {
