@@ -49,7 +49,7 @@ object CrossVal {
       if (testIdx.nonEmpty && testIdx.length < x.length) {
         java.util.Arrays.fill(inTest, false)
         testIdx.foreach(inTest(_) = true)
-        val trainIdx = x.indices.filterNot(inTest).toArray
+        val trainIdx = x.indices.filterNot(inTest(_)).toArray
         val model    = learner.fit(trainIdx.map(x), trainIdx.map(y))
         val preds    = testIdx.map(i => model.predict(x(i)))
         total += learner.metric(testIdx.map(y), preds)

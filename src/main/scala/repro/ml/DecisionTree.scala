@@ -111,11 +111,8 @@ final class DecisionTree(
 
     private def leaf(lo: Int, hi: Int): Leaf =
       if (classification) {
-        // Majority vote; ties broken toward the smaller label for determinism.
         count(lo, hi, left)
-        var best = 0
-        var c    = 1
-        while (c < k) { if (left(c) > left(best)) best = c; c += 1 }
+        val best = majority(left)
         Leaf(data.classes(best), best)
       } else {
         var s = 0.0
@@ -243,12 +240,22 @@ object DecisionTree {
     * labels in ascending order and each row's index into them.
     */
   private[ml] final class Presorted(x: Array[Array[Double]], val y: Array[Double], classification: Boolean) {
-    val p: Int                       = x(0).length
-    val cols: Array[Array[Double]]   = Array.tabulate(p)(f => x.map(_(f)))
-    val ranks: Array[Array[Int]]     = cols.map(denseRanks)
-    val classes: Array[Double]       = if (classification) distinctSorted(y) else Array.empty
-    val label: Array[Int]            =
+    val p: Int                     = x(0).length
+    val cols: Array[Array[Double]] = Array.tabulate(p)(f => x.map(_(f)))
+    val ranks: Array[Array[Int]]   = cols.map(denseRanks)
+    val classes: Array[Double]     = if (classification) distinctSorted(y) else Array.empty
+    val label: Array[Int] =
       if (classification) y.map(java.util.Arrays.binarySearch(classes, _)) else Array.empty
+  }
+
+  /** The majority class of `counts` over the ascending labels; ties go to
+    * the smaller label, so the vote is deterministic.
+    */
+  private[ml] def majority(counts: Array[Int]): Int = {
+    var best = 0
+    var c    = 1
+    while (c < counts.length) { if (counts(c) > counts(best)) best = c; c += 1 }
+    best
   }
 
   private def distinctSorted(v: Array[Double]): Array[Double] = {

@@ -53,13 +53,9 @@ object RandomForest {
   ) extends Model {
     override def predict(x: Array[Double]): Double =
       if (classes.nonEmpty) {
-        // Majority vote over the ascending labels; ties go to the smaller label.
         val votes = new Array[Int](classes.length)
         trees.foreach(m => votes(m.leaf(x).cls) += 1)
-        var best = 0
-        var c    = 1
-        while (c < votes.length) { if (votes(c) > votes(best)) best = c; c += 1 }
-        classes(best)
+        classes(DecisionTree.majority(votes))
       } else {
         var s = 0.0
         trees.foreach(s += _.predict(x))
