@@ -46,15 +46,15 @@ final class DecisionTree(
     * the range [lo, hi) of every list.
     */
   private final class Grower(data: Presorted, rows: Array[Int]) {
-    private val n     = rows.length
-    private val p     = data.p
-    private val rng   = new Random(seed)
-    val imp           = new Array[Double](p)
-    private val yv    = rows.map(data.y)
-    private val label = if (classification) rows.map(data.label) else null
-    private val k     = data.classes.length
-    private val left  = new Array[Int](k)
-    private val right = new Array[Int](k)
+    private val n      = rows.length
+    private val p      = data.p
+    private val rng    = new Random(seed)
+    val imp            = new Array[Double](p)
+    private val yv     = rows.map(data.y)
+    private val label  = if (classification) rows.map(data.label) else null
+    private val k      = data.classes.length
+    private val left   = new Array[Int](k)
+    private val right  = new Array[Int](k)
     private val goLeft = new Array[Boolean](n)
     private val buf    = new Array[Int](n)
     private val perm   = new Array[Int](p)
@@ -101,7 +101,9 @@ final class DecisionTree(
       while (i < hi) { counts(label(order(p)(i))) += 1; i += 1 }
     }
 
-    /** Σ (count/total)² over labels in ascending order. */
+    /** Σ (count/total)² over labels in ascending order; the order of the
+      * additions is part of the result.
+      */
     private def sumSquares(counts: Array[Int], total: Double): Double = {
       var s = 0.0
       var c = 0
