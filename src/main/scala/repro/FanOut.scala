@@ -1,12 +1,19 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 
-/** The one Spark fan-out: `items.map(f)`, run as one Spark task per item when
-  * a session is given. `f` is broadcast once, so the data it captures reaches
-  * each executor once rather than with every task. Results come back in
-  * input order, so for a deterministic `f` both paths return the same sequence.
+/** The two fan-outs, both `items.map(f)` with results in input order, so for
+  * a deterministic `f` every path returns the same sequence.
+  *
+  * `map` runs one Spark task per item when a session is given; `f` is
+  * broadcast once, so the data it captures reaches each executor once rather
+  * than with every task. Without a session it is `local`.
+  *
+  * `local` runs the items on the JDK's common fork-join pool, the calling
+  * thread taking part. Called from a fork-join worker it stays in that
+  * worker's pool, so fan-outs nest, and inside a one-thread pool it is serial.
   */
 object FanOut {
   def map[A: ClassTag, B: ClassTag](spark: Option[SparkSession], items: Seq[A])(f: A => B): Seq[B] =
@@ -14,6 +21,13 @@ object FanOut {
       case Some(s) if items.nonEmpty =>
         val fb = s.sparkContext.broadcast(f)
         s.sparkContext.parallelize(items, items.size).map(fb.value(_)).collect().toSeq
-      case _ => items.map(f)
+      case _ => local(items)(f)
     }
+
+  def local[A, B: ClassTag](items: Seq[A])(f: A => B): Seq[B] = {
+    val in  = items.toIndexedSeq
+    val out = new Array[B](in.size)
+    java.util.stream.IntStream.range(0, in.size).parallel().forEach(i => out(i) = f(in(i)))
+    ArraySeq.unsafeWrapArray(out)
+  }
 }

@@ -105,9 +105,10 @@ final case class RunResult(
 /** The RL-based AFE engine (Algorithm 2 and the NFS / AutoFS_R baselines on
   * the same substrate). One [[RnnPolicy]] agent per original feature; per
   * generation round every agent proposes one `OPERATOR(f1, f2)` candidate and
-  * the round's surviving candidates are evaluated on the downstream task —
-  * in parallel as one Spark task each when a session is supplied. An Engine
-  * makes one run.
+  * the round's surviving candidates are evaluated on the downstream task in
+  * parallel ([[FanOut]]): on the common fork-join pool, or as one Spark task
+  * each when a session is supplied. An Engine makes one run, on one calling
+  * thread.
   */
 final class Engine(
     val data: TabularData,
@@ -164,18 +165,21 @@ final class Engine(
       s
     })
 
-  /** Evaluate the state plus one candidate for every candidate — one Spark task
-    * per candidate ([[FanOut]]) when a session is available. Sequential and
-    * parallel paths produce identical scores (seeded learner). No memoization
-    * here: the systems the paper profiles refit the downstream CV for every
-    * submitted feature, and Table I/IV/VI account evaluations that way.
+  /** Evaluate the state plus one candidate for every distinct candidate, in
+    * parallel ([[FanOut]]): on the common fork-join pool, or one Spark task
+    * per candidate when a session is available. Every path gives the same
+    * scores (seeded learner). The columns are materialized on the calling
+    * thread first, because `memo` is not thread-safe. No memoization of
+    * scores here: the systems the paper profiles refit the downstream CV for
+    * every submitted feature, and Table I/IV/VI account evaluations that way.
+    * `evalNanos` is the batch's wall time.
     */
   private def evalBatch(candidates: Seq[FeatExpr]): Map[String, Double] = {
     val fresh = candidates.distinctBy(_.key)
     if (fresh.isEmpty) return Map.empty
 
     val t0 = System.nanoTime()
-    // Locals only: the Spark tasks must not capture this Engine.
+    // Locals only: the tasks must not capture this Engine.
     val (sel, y, classif, c) = (selected.map(materialize).toArray, evalData.y, evalData.classification, cfg)
     val cv: ((String, Array[Double])) => (String, Double) = { case (key, col) =>
       key -> Engine.cvScore(sel :+ col, y, classif, c)

@@ -1,5 +1,6 @@
 package repro.ml
 
+import repro.FanOut
 import scala.util.Random
 
 /** From-scratch Random Forest — the paper's downstream task 𝒯.
@@ -7,7 +8,10 @@ import scala.util.Random
   * Bagging over [[DecisionTree]]s with per-split random feature subsets
   * (√p for classification, p/3 for regression). Deterministic in `seed`.
   * A fit ranks each feature's values once for all its trees and hands each
-  * tree its bootstrap as a row map into `x`, so no rows are copied.
+  * tree its bootstrap as a row map into `x`, so no rows are copied. It draws
+  * every tree's seed first and then grows the trees in parallel
+  * ([[FanOut.local]]) over that shared read-only ranking; one tree is still
+  * grown by one thread.
   */
 final class RandomForest(
     val classification: Boolean,
@@ -26,16 +30,17 @@ final class RandomForest(
     val subset: Int => Int =
       if (classification) q => math.max(1, math.ceil(math.sqrt(q)).toInt)
       else q => math.max(1, q / 3)
-    val data = new DecisionTree.Presorted(x, y, classification)
-    val imp  = Array.fill(p)(0.0)
-    val trees = Array.tabulate(nTrees) { _ =>
-      val treeSeed = rng.nextLong()
-      val bootRng  = new Random(treeSeed ^ 0x9e3779b97f4a7c15L)
-      val rows     = Array.fill(x.length)(bootRng.nextInt(x.length))
-      val m        = new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).grow(data, rows)
-      for (f <- 0 until p) imp(f) += m.importances(f)
-      m
-    }
+    val data  = new DecisionTree.Presorted(x, y, classification)
+    val seeds = Seq.fill(nTrees)(rng.nextLong())
+    val trees = FanOut.local(seeds) { treeSeed =>
+      val bootRng = new Random(treeSeed ^ 0x9e3779b97f4a7c15L)
+      val rows    = Array.fill(x.length)(bootRng.nextInt(x.length))
+      new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).grow(data, rows)
+    }.toArray
+    // Summed in tree order, so the floating-point result does not depend on
+    // which tree finished first.
+    val imp = Array.fill(p)(0.0)
+    trees.foreach(m => for (f <- 0 until p) imp(f) += m.importances(f))
     val total = imp.sum
     new RandomForest.Fitted(trees, data.classes, if (total > 0) imp.map(_ / total) else imp)
   }

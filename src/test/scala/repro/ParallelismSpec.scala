@@ -25,6 +25,15 @@ class ParallelismSpec extends SparkSpec {
     }
   }
 
+  test("FanOut.local returns results in input order when the work is uneven") {
+    val items = (0 until 64).toVector
+    // Early items take longest, so they tend to finish last.
+    val f = (i: Int) => { Thread.sleep((64 - i) / 8); i * i }
+    assert(FanOut.local(items)(f) === items.map(f))
+    assert(onOneThreadPool(FanOut.local(items)(f)) === items.map(f))
+    assert(FanOut.local(Seq.empty[Int])(f).isEmpty)
+  }
+
   ForestGoldenSpec.cases.foreach { c =>
     test(s"${c.name}: CrossVal.score with the engine's forest is the same on any thread count") {
       assertSameEverywhere("cv")(ForestGoldenSpec.cv(c, 1L))(s => Seq(bits(s)))
