@@ -1,5 +1,7 @@
 package repro
 
+import java.util.stream.IntStream
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.SparkSession
 import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
@@ -14,6 +16,8 @@ import scala.reflect.ClassTag
   * `local` runs the items on the JDK's common fork-join pool, the calling
   * thread taking part. Called from a fork-join worker it stays in that
   * worker's pool, so fan-outs nest, and inside a one-thread pool it is serial.
+  * Inside a Spark task it runs the items on the task's own thread: the tasks
+  * already keep every core busy, and forking there made FPE labeling slower.
   */
 object FanOut {
   def map[A: ClassTag, B: ClassTag](spark: Option[SparkSession], items: Seq[A])(f: A => B): Seq[B] =
@@ -25,9 +29,10 @@ object FanOut {
     }
 
   def local[A, B: ClassTag](items: Seq[A])(f: A => B): Seq[B] = {
-    val in  = items.toIndexedSeq
-    val out = new Array[B](in.size)
-    java.util.stream.IntStream.range(0, in.size).parallel().forEach(i => out(i) = f(in(i)))
+    val in    = items.toIndexedSeq
+    val out   = new Array[B](in.size)
+    val range = IntStream.range(0, in.size)
+    (if (TaskContext.get() == null) range.parallel() else range).forEach(i => out(i) = f(in(i)))
     ArraySeq.unsafeWrapArray(out)
   }
 }

@@ -34,6 +34,14 @@ class ParallelismSpec extends SparkSpec {
     assert(FanOut.local(Seq.empty[Int])(f).isEmpty)
   }
 
+  test("FanOut.local runs on the task's own thread inside a Spark task") {
+    val threads = spark.sparkContext.parallelize(Seq(0), 1).map { _ =>
+      val task = Thread.currentThread.getId
+      FanOut.local(0 until 16)(_ => Thread.currentThread.getId).toSet == Set(task)
+    }.collect()
+    assert(threads.toSeq === Seq(true))
+  }
+
   ForestGoldenSpec.cases.foreach { c =>
     test(s"${c.name}: CrossVal.score with the engine's forest is the same on any thread count") {
       assertSameEverywhere("cv")(ForestGoldenSpec.cv(c, 1L))(s => Seq(bits(s)))
