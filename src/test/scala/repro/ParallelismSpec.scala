@@ -1,10 +1,9 @@
 package repro
 
 import java.util.concurrent.{Callable, ForkJoinPool}
-import repro.core.{Engine, MethodConfig, RunResult}
-import repro.data.{DatasetRegistry, SyntheticTabular}
-import repro.fpe.{FpeLabeler, FpeModel}
-import repro.hash.HashVariant
+import repro.core.{Engine, EngineSpec, RunResult}
+import repro.data.DatasetRegistry
+import repro.fpe.FpeLabeler
 import repro.ml.ForestGoldenSpec
 
 /** Results do not depend on how many threads compute them. Each value is
@@ -54,29 +53,15 @@ class ParallelismSpec extends SparkSpec {
     }
   }
 
-  private lazy val engineData = SyntheticTabular.generate(
-    SyntheticTabular.Spec("engine-ds", 200, 5, classification = true, seed = 21))
-
-  private lazy val fpe: FpeModel.Trained = {
-    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
-    FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16), seed = 1)
-  }
-
-  // EngineSpec's tiny configuration.
-  private def tinyCfg(method: String) = MethodConfig(
-    method, stage1Epochs = 1, stage2Epochs = 2, T = 2,
-    rfTrees = 4, rfDepth = 4, evalSampleCap = 150, seed = 5)
-
   private def showRun(r: RunResult): Seq[Any] =
     Seq(r.dataset, r.method, r.hashVariant, bits(r.baseScore), bits(r.score), r.generated,
       r.evaluated, r.selectedKeys) ++ r.curve.map(bits)
 
   Seq("nfs", "eafe").foreach { m =>
     test(s"an Engine $m run is the same on any thread count") {
-      val cfg   = tinyCfg(m)
-      val model = Option.when(cfg.kind.usesFpe)(fpe)
-      assertSameEverywhere(m)(new Engine(engineData, cfg, model, None).run())(showRun)
+      val cfg   = EngineSpec.tinyCfg(m)
+      val model = Option.when(cfg.kind.usesFpe)(EngineSpec.fpe)
+      assertSameEverywhere(m)(new Engine(EngineSpec.data, cfg, model, None).run())(showRun)
     }
   }
 

@@ -6,19 +6,7 @@ import repro.fpe.{FpeLabeler, FpeModel}
 import repro.hash.HashVariant
 
 class EngineSpec extends SparkSpec {
-
-  private lazy val data = SyntheticTabular.generate(
-    SyntheticTabular.Spec("engine-ds", 200, 5, classification = true, seed = 21))
-
-  private lazy val fpe: FpeModel.Trained = {
-    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
-    FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16), seed = 1)
-  }
-
-  private def tinyCfg(method: String) = MethodConfig(
-    method, stage1Epochs = 1, stage2Epochs = 2, T = 2,
-    rfTrees = 4, rfDepth = 4, evalSampleCap = 150, seed = 5)
+  import EngineSpec._
 
   test("NFS run returns a score at least as good as the raw baseline") {
     val r = new Engine(data, tinyCfg("nfs"), None, None).run()
@@ -136,4 +124,20 @@ class EngineSpec extends SparkSpec {
     assert(r.score >= 0.0 && r.score <= 1.0)
     assert(r.score >= r.baseScore)
   }
+}
+
+/** The engine fixtures `ParallelismSpec` shares. */
+object EngineSpec {
+  lazy val data = SyntheticTabular.generate(
+    SyntheticTabular.Spec("engine-ds", 200, 5, classification = true, seed = 21))
+
+  lazy val fpe: FpeModel.Trained = {
+    val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
+      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
+    FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16), seed = 1)
+  }
+
+  def tinyCfg(method: String): MethodConfig = MethodConfig(
+    method, stage1Epochs = 1, stage2Epochs = 2, T = 2,
+    rfTrees = 4, rfDepth = 4, evalSampleCap = 150, seed = 5)
 }
