@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.FanOut
 import repro.data.TabularData
 import repro.fpe.FpeModel
-import repro.ml.{CrossVal, RandomForest}
+import repro.ml.CrossVal
 import scala.collection.mutable
 import scala.util.Random
 
@@ -52,19 +52,21 @@ final case class MethodConfig(
     stage1Epochs: Int = 2,
     stage2Epochs: Int = 6,
     T: Int = 4,
-    gamma: Double = 0.9,
-    lambda: Double = 0.8,
-    maxOrder: Int = 5,
     folds: Int = 3,
     rfTrees: Int = 12,
     rfDepth: Int = 7,
     evalSampleCap: Int = 600,
-    maxSubgroup: Int = 8,
-    extraSelectedCap: Int = 16,
-    selectionRounds: Int = 10, // AutoFS_R subset-search rounds
     seed: Long = 1L,
 ) extends Serializable {
   val kind: Method = Method.byName(method)
+
+  // Fixed for every method and run.
+  val gamma: Double         = 0.9 // return discount γ
+  val lambda: Double        = 0.8 // λ of the λ-returns
+  val maxOrder: Int         = 5   // highest order of a generated program
+  val maxSubgroup: Int      = 8   // size cap of an agent's operand subgroup
+  val extraSelectedCap: Int = 16  // generated features the state may hold
+  val selectionRounds: Int  = 10  // AutoFS_R subset-search rounds
 
   /** The paper trains each stage for the full epoch budget ("The training
     * epoch of the two-stage policy training strategy is 200, respectively"):
@@ -120,7 +122,6 @@ final class Engine(
   require(!method.usesFpe || fpe.isDefined, s"${cfg.method} requires a trained FPE model")
 
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
-  private val rawCols  = evalData.columns
   private val memo     = mutable.Map.empty[String, Array[Double]]
   private val scoreCache = mutable.Map.empty[String, Double]
   private val counters = RunCounters()
@@ -151,7 +152,11 @@ final class Engine(
   private val steps      = Array.fill(n)(mutable.ArrayBuffer.empty[PolicyStep])
   private val rewards    = Array.fill(n)(mutable.ArrayBuffer.empty[Double])
 
-  private def materialize(e: FeatExpr): Array[Double] = e.evalLocal(rawCols, memo)
+  private def materialize(e: FeatExpr): Array[Double] = e.evalLocal(evalData.columns, memo)
+
+  /** The evaluation rows with the given programs as their features. */
+  private def dataset(exprs: Seq[FeatExpr]): TabularData =
+    evalData.copy(columns = exprs.map(materialize).toArray)
 
   private def setKey(exprs: Seq[FeatExpr]): String = exprs.map(_.key).sorted.mkString(";")
 
@@ -160,7 +165,7 @@ final class Engine(
     scoreCache.getOrElseUpdate(setKey(exprs), {
       counters.evaluated += 1
       val t0 = System.nanoTime()
-      val s  = Engine.cvScore(exprs.map(materialize).toArray, evalData.y, evalData.classification, cfg)
+      val s  = CrossVal.forest(dataset(exprs), cfg.rfTrees, cfg.rfDepth, cfg.folds, cfg.seed)
       counters.evalNanos += System.nanoTime() - t0
       s
     })
@@ -180,9 +185,9 @@ final class Engine(
 
     val t0 = System.nanoTime()
     // Locals only: the tasks must not capture this Engine.
-    val (sel, y, classif, c) = (selected.map(materialize).toArray, evalData.y, evalData.classification, cfg)
+    val (sel, c) = (dataset(selected.toSeq), cfg)
     val cv: ((String, Array[Double])) => (String, Double) = { case (key, col) =>
-      key -> Engine.cvScore(sel :+ col, y, classif, c)
+      key -> CrossVal.forest(sel.withColumns(Seq(col)), c.rfTrees, c.rfDepth, c.folds, c.seed)
     }
     val scores = FanOut.map(spark, fresh.map(e => (e.key, materialize(e))))(cv).toMap
     counters.evaluated += fresh.size
@@ -376,12 +381,4 @@ final class Engine(
     SubsetSearch.run(pool.size, n, cfg.selectionRounds, bestScore, rng)(keep => score(keep.map(pool)))
       .foreach { case (keep, s) => raiseBest(s, keep.map(pool).toVector) }
   }
-}
-
-private object Engine {
-  /** k-fold CV score of the downstream forest on feature columns `cols`. */
-  def cvScore(cols: Array[Array[Double]], y: Array[Double], classification: Boolean,
-              cfg: MethodConfig): Double =
-    CrossVal.score(TabularData.rows(cols), y,
-      new RandomForest(classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed), cfg.folds, cfg.seed)
 }

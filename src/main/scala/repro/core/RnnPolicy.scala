@@ -12,15 +12,15 @@ import scala.util.Random
   * and L2 weight decay, optimized with Adam (truncated BPTT of depth 1 —
   * the gradient flows through the current recurrent step only).
   */
-final class RnnPolicy(
-    val nActions: Int,
-    val inputDim: Int = 4,
-    val hiddenDim: Int = 12,
-    val lr: Double = 0.01,
-    val entropyBeta: Double = 0.01,
-    val l2: Double = 1e-4,
-    val seed: Long = 97L,
-) extends Serializable {
+final class RnnPolicy(val nActions: Int, val seed: Long = 97L) extends Serializable {
+
+  /** Width of the Engine's per-step input, and hidden units. */
+  val inputDim: Int  = 4
+  val hiddenDim: Int = 12
+  // Adam step size, and the entropy and L2 weights of the loss (Equ. 1).
+  private val lr          = 0.01
+  private val entropyBeta = 0.01
+  private val l2          = 1e-4
 
   private val rng = new Random(seed)
   private def init(n: Int, scale: Double): Array[Double] =

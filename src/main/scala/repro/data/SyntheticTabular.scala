@@ -111,6 +111,6 @@ object SyntheticTabular {
     // Shuffle column order deterministically so informativeness is not
     // positional; the permutation is part of the dataset identity.
     val perm = rng.shuffle((0 until nFeatures).toList).toArray
-    TabularData(name, TabularData.rows(perm.map(cols)), y, classification)
+    TabularData(name, perm.map(cols), y, classification)
   }
 }

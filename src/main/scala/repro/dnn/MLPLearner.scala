@@ -3,14 +3,13 @@ package repro.dnn
 import repro.ml.Learner
 import Net._
 
-/** One-hidden-layer perceptron as a [[repro.ml.Learner]] — Table V "MLP".
-  * Softmax-CE for classification, MSE on standardized targets for regression.
+/** One-hidden-layer perceptron (32 units, Adam at the layers' default rate)
+  * as a [[repro.ml.Learner]] — Table V "MLP". Softmax-CE for classification,
+  * MSE on standardized targets for regression.
   */
 final class MLPLearner(
     val classification: Boolean,
-    val hidden: Int = 32,
     val epochs: Int = 40,
-    val lr: Double = 1e-2,
     val seed: Long = 29L,
 ) extends Learner {
 
@@ -18,7 +17,7 @@ final class MLPLearner(
 
   override def fit(x: Array[Array[Double]], y: Array[Double]): Fitted =
     Net.train(x, y, classification,
-      p => Array(new Dense(p, hidden, seed, lr), new ReLU),
-      k => new Dense(hidden, k, seed + 1, lr),
+      p => Array(new Dense(p, 32, seed), new ReLU),
+      k => new Dense(32, k, seed + 1),
       epochs, seed)
 }

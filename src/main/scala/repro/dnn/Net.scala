@@ -9,9 +9,13 @@ import scala.util.Random
   */
 object Net {
 
-  /** Per-parameter Adam state (Kingma & Ba 2014), the optimizer the paper uses. */
-  final class Adam(size: Int, val lr: Double = 1e-2, val beta1: Double = 0.9,
-                   val beta2: Double = 0.999, val eps: Double = 1e-8) extends Serializable {
+  /** Per-parameter Adam state (Kingma & Ba 2014), the optimizer the paper
+    * uses, with the paper's β₁ = 0.9, β₂ = 0.999 and ε = 1e-8.
+    */
+  final class Adam(size: Int, val lr: Double = 1e-2) extends Serializable {
+    private val beta1 = 0.9
+    private val beta2 = 0.999
+    private val eps   = 1e-8
     private val m = Array.fill(size)(0.0)
     private val v = Array.fill(size)(0.0)
     private var t = 0

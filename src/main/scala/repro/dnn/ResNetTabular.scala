@@ -5,8 +5,8 @@ import Net._
 /** RTDL-style residual MLP for tabular data — substrate for the RTDL_N,
   * FE|DL and DL|FE baselines (Table III).
   *
-  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×`blocks` (3 by default) →
-  * head. Trained on a pre-made train split (the paper stresses that this
+  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×3 → head, trained with
+  * Adam at the layers' default rate. Trained on a pre-made train split (the paper stresses that this
   * pre-splitting — rather than cross-validation — is exactly why the DNN
   * baselines collapse on tiny datasets, and our reproduction keeps that
   * protocol).
@@ -14,9 +14,7 @@ import Net._
 final class ResNetTabular(
     val classification: Boolean,
     val hidden: Int = 96,
-    val blocks: Int = 3,
     val epochs: Int = 40,
-    val lr: Double = 1e-2,
     val seed: Long = 31L,
 ) extends Serializable {
   // Defaults mirror RTDL's regime: a large residual MLP trained for a fixed
@@ -30,8 +28,8 @@ final class ResNetTabular(
     */
   def train(xTrain: Array[Array[Double]], yTrain: Array[Double]): Fitted =
     Net.train(xTrain, yTrain, classification,
-      p => Array[Layer](new Dense(p, hidden, seed, lr), new ReLU) ++
-        Array.tabulate[Layer](blocks)(b => new ResBlock(hidden, hidden, seed + 100 + b, lr)),
-      k => new Dense(hidden, k, seed + 7, lr),
+      p => Array[Layer](new Dense(p, hidden, seed), new ReLU) ++
+        Array.tabulate[Layer](3)(b => new ResBlock(hidden, hidden, seed + 100 + b)),
+      k => new Dense(hidden, k, seed + 7),
       epochs, seed)
 }

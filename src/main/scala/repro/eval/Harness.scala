@@ -30,7 +30,7 @@ object Harness {
       else {
         val sub = raw.subsample(700, seed = 3L)
         val rf  = new RandomForest(raw.classification, nTrees = 12, maxDepth = 6, seed = 3L)
-        val top = rf.fit(sub.x, sub.y).importances.zipWithIndex
+        val top = rf.fit(sub.rows, sub.y).importances.zipWithIndex
           .sortBy { case (imp, idx) => (-imp, idx) }
           .take(MaxBaseFeatures)
           .map(_._2)
@@ -54,7 +54,7 @@ object Harness {
 
   private def split(d: TabularData, seed: Long): (Array[Int], Array[Int], Array[Int]) = {
     val rng     = new Random(seed)
-    val idx     = rng.shuffle(d.x.indices.toList).toArray
+    val idx     = rng.shuffle(d.y.indices.toList).toArray
     val nTrain  = math.max(1, (idx.length * 0.6).toInt)
     val nVal    = math.max(1, (idx.length * 0.2).toInt)
     val train   = idx.take(nTrain)
@@ -69,16 +69,28 @@ object Harness {
     */
   private def rawFor(name: String): TabularData = DatasetRegistry.load(name)
 
+  /** `d`'s rows with the programs `keys` as their features (`d` itself when
+    * there are none): a run's selected features, re-materialized from its
+    * cached keys.
+    */
+  private def programs(d: TabularData, keys: Seq[String]): TabularData =
+    if (keys.isEmpty) d
+    else {
+      val memo = mutable.Map.empty[String, Array[Double]]
+      d.copy(columns = keys.map(FeatExpr.parse(_).evalLocal(d.columns, memo)).toArray)
+    }
+
   /** RTDL_N: train the tabular ResNet on a pre-made split, swap the softmax
     * head for a Random Forest over the penultimate features, score on test.
     */
   def runDlN(name: String, seed: Long = 1L): RunResult = {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
+    val x  = d.rows
     val (train, _, test) = split(d, seed)
-    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(d.x), train.map(d.y))
-    val featTrain = train.map(i => net.features(d.x(i)))
-    val featTest  = test.map(i => net.features(d.x(i)))
+    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
+    val featTrain = train.map(i => net.features(x(i)))
+    val featTest  = test.map(i => net.features(x(i)))
     val rf        = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
     val model     = rf.fit(featTrain, train.map(d.y))
     val score     = Metrics.paper(d.classification, test.map(d.y), featTest.map(model.predict))
@@ -90,9 +102,7 @@ object Harness {
   def runFeDl(name: String, selectedKeys: Seq[String], seed: Long = 1L): RunResult = {
     val t0 = System.nanoTime()
     val d  = prepare(name)
-    val memo  = mutable.Map.empty[String, Array[Double]]
-    val cols  = d.columns
-    val x     = TabularData.rows(selectedKeys.map(FeatExpr.parse(_).evalLocal(cols, memo)).toArray)
+    val x  = programs(d, selectedKeys).rows
     val (train, _, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     val score =
@@ -107,13 +117,14 @@ object Harness {
   def runDlFe(name: String, seed: Long = 1L): RunResult = {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
+    val x  = d.rows
     val (train, _, _) = split(d, seed)
-    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(d.x), train.map(d.y))
+    val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     // Deep features only on rows the net did NOT train on — CV over memorized
     // training rows would leak and inflate the DL|FE column.
     val trainSet = train.toSet
-    val heldOut  = d.x.indices.filterNot(trainSet.contains).toArray
-    val feats    = heldOut.map(i => net.features(d.x(i)))
+    val heldOut  = x.indices.filterNot(trainSet.contains).toArray
+    val feats    = heldOut.map(i => net.features(x(i)))
     val yHeld    = heldOut.map(d.y)
     val learner  = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
     def subsetScore(keep: Seq[Int]): Double =
@@ -132,8 +143,8 @@ object Harness {
     * downstream model family. `model` ∈ {svm, nbgp, mlp}; "nbgp" is Naive
     * Bayes on classification datasets and a Gaussian Process on regression
     * (the paper's fused "NB GP" column); "svm" uses ridge (linear SVR) on
-    * regression datasets. The programs are re-materialized as columns and
-    * transposed to rows with `TabularData.rows`, as the engine does.
+    * regression datasets. The learner takes the re-materialized programs'
+    * rows (the raw features' when there are no keys).
     */
   def reEvaluate(name: String, selectedKeys: Seq[String], model: String, seed: Long = 1L): Double = {
     val d = prepare(name).subsample(700, seed)
@@ -145,11 +156,7 @@ object Harness {
       case ("mlp", c)      => new repro.dnn.MLPLearner(c, seed = seed)
       case _               => sys.error(s"unknown swap model: $model")
     }
-    val memo  = mutable.Map.empty[String, Array[Double]]
-    val cols  = d.columns
-    val exprs =
-      if (selectedKeys.nonEmpty) selectedKeys.map(FeatExpr.parse)
-      else (0 until d.nFeatures).map(Raw(_))
-    CrossVal.score(TabularData.rows(exprs.map(_.evalLocal(cols, memo)).toArray), d.y, learner, 3, seed)
+    val m = programs(d, selectedKeys)
+    CrossVal.score(m.rows, m.y, learner, 3, seed)
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.FanOut
 import repro.core.{FeatExpr, Ops, Raw}
 import repro.data.TabularData
-import repro.ml.{CrossVal, RandomForest}
+import repro.ml.CrossVal
 import scala.util.Random
 
 /** Equ. 3 — label feature effectiveness on the public pre-training datasets.
@@ -31,19 +31,11 @@ object FpeLabeler {
       seed: Long = 5L,
   ) extends Serializable
 
-  private def cvScore(d: TabularData, cfg: Config): Double =
-    CrossVal.score(
-      d.x, d.y,
-      new RandomForest(d.classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed),
-      cfg.folds, cfg.seed,
-    )
-
   /** `nGen` random generated candidates on d, some of order 2, drawn from
     * d's own RNG stream.
     */
   private def generate(d: TabularData, cfg: Config, nGen: Int): IndexedSeq[Array[Double]] = {
     val rng  = new Random(cfg.seed ^ d.name.hashCode.toLong)
-    val cols = d.columns
     val memo = scala.collection.mutable.Map.empty[String, Array[Double]]
     (0 until nGen).map { _ =>
       val op    = Ops.all(rng.nextInt(Ops.all.length))
@@ -55,7 +47,7 @@ object FpeLabeler {
           FeatExpr.derive(Ops.all(rng.nextInt(Ops.all.length)), inner,
             Raw(rng.nextInt(d.nFeatures)))
         else inner
-      e.evalLocal(cols, memo)
+      e.evalLocal(d.columns, memo)
     }
   }
 
@@ -91,11 +83,11 @@ object FpeLabeler {
     val score = cvs.zip(FanOut.map(spark, cvs) { case (i, v) =>
       val d = ds(i)
       val p = d.nFeatures
-      cvScore(
+      CrossVal.forest(
         if (v < 0) d
         else if (v < p) d.select((0 until p).filter(_ != v))
         else d.withColumns(Seq(gen(i)(v - p))),
-        cfg)
+        cfg.rfTrees, cfg.rfDepth, cfg.folds, cfg.seed)
     }).toMap
     def label(d: TabularData, j: Int, values: Array[Double], gain: Double) =
       LabeledFeature(d.name, j, values, gain, if (gain > cfg.thre) 1 else 0)

@@ -24,15 +24,14 @@ object FpeModel {
     }
   }
 
-  /** Cross-entropy SGD with positive-class weighting (recall is the paper's
-    * optimization target — Equ. 6).
+  /** Cross-entropy SGD (step 0.1 / (1 + 0.05·epoch)) with the positive class
+    * weighted by nNeg/nPos, at least 1 (recall is the paper's optimization
+    * target — Equ. 6).
     */
   def trainClassifier(
       sigs: Array[Array[Double]],
       labels: Array[Int],
       epochs: Int = 80,
-      lr: Double = 0.1,
-      posWeight: Double = 0.0, // 0 → auto = nNeg/nPos
       seed: Long = 11L,
   ): Classifier = {
     require(sigs.nonEmpty && sigs.length == labels.length, "empty or mismatched training data")
@@ -41,10 +40,10 @@ object FpeModel {
     var bias = 0.0
     val nPos = labels.count(_ == 1)
     val nNeg = labels.length - nPos
-    val pw   = if (posWeight > 0) posWeight else if (nPos == 0) 1.0 else math.max(1.0, nNeg.toDouble / nPos)
+    val pw   = if (nPos == 0) 1.0 else math.max(1.0, nNeg.toDouble / nPos)
     val rng  = new Random(seed)
     for (e <- 0 until epochs) {
-      val step = lr / (1.0 + 0.05 * e)
+      val step = 0.1 / (1.0 + 0.05 * e)
       rng.shuffle(sigs.indices.toList).foreach { i =>
         var z = bias
         var j = 0

@@ -1,5 +1,6 @@
 package repro.ml
 
+import repro.data.TabularData
 import scala.util.Random
 
 /** Seeded k-fold cross-validation returning the learner's paper metric
@@ -58,4 +59,11 @@ object CrossVal {
     }
     if (nFolds == 0) 0.0 else total / nFolds
   }
+
+  /** k-fold score of a Random Forest (`trees` trees of depth `depth`, seeded
+    * like the folds) on `d`'s rows: the downstream evaluation that scores the
+    * Engine's feature sets and labels the FPE's pre-training features.
+    */
+  def forest(d: TabularData, trees: Int, depth: Int, k: Int, seed: Long): Double =
+    score(d.rows, d.y, new RandomForest(d.classification, trees, depth, seed = seed), k, seed)
 }

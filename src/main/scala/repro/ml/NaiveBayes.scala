@@ -1,9 +1,10 @@
 package repro.ml
 
 /** Gaussian Naive Bayes classifier — Table V "NB" column.
-  * Per-class, per-feature Gaussian likelihoods with variance smoothing.
+  * Per-class, per-feature Gaussian likelihoods with variance smoothing (1e-9
+  * of the largest feature variance, at least 1e-9, as in sklearn).
   */
-final class NaiveBayes(val varSmoothing: Double = 1e-9) extends Learner {
+final class NaiveBayes extends Learner {
 
   override def isClassifier: Boolean = true
 
@@ -42,7 +43,7 @@ final class NaiveBayes(val varSmoothing: Double = 1e-9) extends Learner {
       val m = x.map(_(j)).sum / x.length
       x.map(r => { val d = r(j) - m; d * d }).sum / x.length
     }.foldLeft(0.0)(math.max)
-    val eps    = varSmoothing * math.max(globalVar, 1.0)
+    val eps    = 1e-9 * math.max(globalVar, 1.0)
     val priors = classes.map(c => y.count(_ == c).toDouble / y.length)
     val means = classes.map { c =>
       val rows = x.indices.filter(y(_) == c).map(x)

@@ -6,8 +6,13 @@ import repro.ml.{CrossVal, RandomForest}
 class TabularDataSpec extends SparkSpec {
 
   private def tiny = TabularData("tiny",
-    Array(Array(1.0, 10.0), Array(2.0, 20.0), Array(3.0, 30.0)),
+    Array(Array(1.0, 2.0, 3.0), Array(10.0, 20.0, 30.0)),
     Array(0.0, 1.0, 0.0), classification = true)
+
+  /** Row i holds 10·i + j in column j and label i. */
+  private def indexed(n: Int, p: Int) = TabularData("indexed",
+    Array.tabulate(p)(j => Array.tabulate(n)(i => 10.0 * i + j)),
+    Array.tabulate(n)(_.toDouble), classification = false)
 
   test("column extraction is column-major") {
     assert(tiny.column(1).toSeq === Seq(10.0, 20.0, 30.0))
@@ -32,11 +37,34 @@ class TabularDataSpec extends SparkSpec {
     val s1 = d.subsample(50, seed = 9)
     val s2 = d.subsample(50, seed = 9)
     assert(s1.nSamples === 50)
-    assert(s1.x.map(_.toSeq).toSeq === s2.x.map(_.toSeq).toSeq)
+    assert(s1.columns.map(_.toSeq).toSeq === s2.columns.map(_.toSeq).toSeq)
     assert(s1.y.toSeq === s2.y.toSeq)
     // alignment: rows of s1 exist in d with the same label
-    val lookup = d.x.map(_.toSeq).zip(d.y).toMap
-    s1.x.map(_.toSeq).zip(s1.y).foreach { case (r, l) => assert(lookup(r) === l) }
+    val lookup = d.rows.map(_.toSeq).zip(d.y).toMap
+    s1.rows.map(_.toSeq).zip(s1.y).foreach { case (r, l) => assert(lookup(r) === l) }
+  }
+
+  test("subsample keeps each row's values and label aligned across columns") {
+    val s = indexed(40, 3).subsample(15, seed = 4)
+    assert(s.nSamples === 15 && s.nFeatures === 3)
+    (0 until s.nSamples).foreach { k =>
+      val i = s.y(k)
+      (0 until s.nFeatures).foreach(j => assert(s.column(j)(k) === 10.0 * i + j, s"row $k, column $j"))
+    }
+  }
+
+  test("rows is the transpose of columns") {
+    val d = indexed(5, 3)
+    assert(d.rows.map(_.toSeq).toSeq === (0 until 5).map(i => (0 until 3).map(j => 10.0 * i + j)))
+    assert(tiny.rows.map(_.toSeq).toSeq === Seq(Seq(1.0, 10.0), Seq(2.0, 20.0), Seq(3.0, 30.0)))
+  }
+
+  test("select of no features keeps the rows and labels") {
+    val s = tiny.select(Seq.empty)
+    assert(s.nFeatures === 0)
+    assert(s.nSamples === 3)
+    assert(s.y.toSeq === tiny.y.toSeq)
+    assert(s.rows.map(_.length).toSeq === Seq(0, 0, 0))
   }
 
   test("subsample of a smaller dataset is identity") {
@@ -49,7 +77,7 @@ class TabularDataSpec extends SparkSpec {
       SyntheticTabular.Spec("rt", 80, 4, classification = true, seed = 2))
     val df   = d.toDF(spark)
     assert(df.columns.toSeq === Seq("f0", "f1", "f2", "f3", "label"))
-    val origRows = d.x.zip(d.y).map { case (r, l) => r.toSeq :+ l }.toSeq
+    val origRows = (0 until d.nSamples).map(i => d.columns.map(_(i)).toSeq :+ d.y(i))
     // The DataFrame is built from an ordered local collection, so collect() keeps row order.
     assert(df.collect().map(_.toSeq).toSeq === origRows)
   }
@@ -57,6 +85,12 @@ class TabularDataSpec extends SparkSpec {
   test("mismatched x/y lengths are rejected") {
     intercept[IllegalArgumentException] {
       TabularData("bad", Array(Array(1.0)), Array(1.0, 2.0), classification = true)
+    }
+  }
+
+  test("ragged columns are rejected") {
+    intercept[IllegalArgumentException] {
+      TabularData("ragged", Array(Array(1.0, 2.0), Array(3.0)), Array(0.0, 1.0), classification = true)
     }
   }
 }
@@ -67,7 +101,7 @@ class SyntheticTabularSpec extends SparkSpec {
     val spec = SyntheticTabular.Spec("det", 100, 6, classification = true, seed = 7)
     val a = SyntheticTabular.generate(spec)
     val b = SyntheticTabular.generate(spec)
-    assert(a.x.map(_.toSeq).toSeq === b.x.map(_.toSeq).toSeq)
+    assert(a.columns.map(_.toSeq).toSeq === b.columns.map(_.toSeq).toSeq)
     assert(a.y.toSeq === b.y.toSeq)
   }
 
@@ -99,7 +133,7 @@ class SyntheticTabularSpec extends SparkSpec {
   test("datasets are learnable above chance (informative features exist)") {
     val d = SyntheticTabular.generate(
       SyntheticTabular.Spec("learn", 400, 8, classification = true, seed = 10))
-    val s = CrossVal.score(d.x, d.y, new RandomForest(classification = true, nTrees = 10), 3, 1)
+    val s = CrossVal.score(d.rows, d.y, new RandomForest(classification = true, nTrees = 10), 3, 1)
     assert(s > 0.55, s"score=$s")
   }
 
@@ -111,11 +145,11 @@ class SyntheticTabularSpec extends SparkSpec {
       val d = SyntheticTabular.generate(
         SyntheticTabular.Spec(s"hr$k", 400, 6, classification = true, seed = 40 + k))
       val learner = new RandomForest(classification = true, nTrees = 8, maxDepth = 3)
-      val base    = CrossVal.score(d.x, d.y, learner, 3, 1)
+      val base    = CrossVal.score(d.rows, d.y, learner, 3, 1)
       val prods = for (i <- 0 until 3; j <- (i + 1) until 4)
-        yield Array.tabulate(d.nSamples)(r => d.x(r)(i) * d.x(r)(j))
+        yield Array.tabulate(d.nSamples)(r => d.column(i)(r) * d.column(j)(r))
       val aug  = d.withColumns(prods)
-      val best = CrossVal.score(aug.x, aug.y, learner, 3, 1)
+      val best = CrossVal.score(aug.rows, aug.y, learner, 3, 1)
       best - base
     }
     assert(deltas.sum / deltas.size > -0.02, s"deltas=$deltas")
@@ -160,7 +194,7 @@ class DatasetRegistrySpec extends SparkSpec {
   test("load is deterministic and task type matches the registry") {
     val a = DatasetRegistry.load("sonar")
     val b = DatasetRegistry.load("sonar")
-    assert(a.x.map(_.toSeq).toSeq === b.x.map(_.toSeq).toSeq)
+    assert(a.columns.map(_.toSeq).toSeq === b.columns.map(_.toSeq).toSeq)
     assert(a.classification)
     assert(!DatasetRegistry.load("Airfoil").classification)
   }

@@ -6,13 +6,18 @@ import scala.util.Random
 
 class FpeLabelerSpec extends SparkSpec {
 
-  /** Dataset where f0 carries the label entirely and f1/f2 are pure noise. */
+  /** Dataset where f0 carries the label entirely and f1/f2 are pure noise.
+    * Values are drawn row by row.
+    */
   private def oneGoodFeature(seed: Long): TabularData = {
-    val rng = new Random(seed)
-    val x = Array.fill(240)(Array(rng.nextGaussian(), rng.nextGaussian() * 3,
-      rng.nextDouble() * 10))
-    val y = x.map(r => if (r(0) > 0) 1.0 else 0.0)
-    TabularData("one-good", x, y, classification = true)
+    val rng  = new Random(seed)
+    val cols = Array.fill(3)(new Array[Double](240))
+    for (i <- 0 until 240) {
+      cols(0)(i) = rng.nextGaussian()
+      cols(1)(i) = rng.nextGaussian() * 3
+      cols(2)(i) = rng.nextDouble() * 10
+    }
+    TabularData("one-good", cols, cols(0).map(v => if (v > 0) 1.0 else 0.0), classification = true)
   }
 
   /** Leave-one-out labels only. */
@@ -88,10 +93,11 @@ class FpeLabelerSpec extends SparkSpec {
   }
 
   test("regression datasets label via 1-rae gains") {
-    val rng = new Random(6)
-    val x   = Array.fill(240)(Array(rng.nextGaussian(), rng.nextGaussian()))
-    val y   = x.map(r => 5 * r(0) + rng.nextGaussian() * 0.05)
-    val d   = TabularData("reg", x, y, classification = false)
+    val rng  = new Random(6)
+    val cols = Array.fill(2)(new Array[Double](240))
+    for (i <- 0 until 240) { cols(0)(i) = rng.nextGaussian(); cols(1)(i) = rng.nextGaussian() }
+    val y = cols(0).map(v => 5 * v + rng.nextGaussian() * 0.05)
+    val d = TabularData("reg", cols, y, classification = false)
     val labels = leaveOneOut(d)
     assert(labels(0).label === 1)
     assert(labels(1).label === 0)
