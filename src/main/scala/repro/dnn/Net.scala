@@ -41,8 +41,8 @@ object Net {
     def step(): Unit
   }
 
-  /** Fully-connected layer, He-initialized, with its own Adam state. */
-  final class Dense(val in: Int, val out: Int, seed: Long, lr: Double = 1e-2) extends Layer {
+  /** Fully-connected layer, He-initialized, with its own Adam state (default rate). */
+  final class Dense(val in: Int, val out: Int, seed: Long) extends Layer {
     val w: Array[Double] = {
       val rng   = new Random(seed)
       val scale = math.sqrt(2.0 / in)
@@ -51,8 +51,8 @@ object Net {
     val b: Array[Double]         = Array.fill(out)(0.0)
     private val gw               = Array.fill(out * in)(0.0)
     private val gb               = Array.fill(out)(0.0)
-    private val adamW            = new Adam(out * in, lr)
-    private val adamB            = new Adam(out, lr)
+    private val adamW            = new Adam(out * in)
+    private val adamB            = new Adam(out)
     private var lastX: Array[Double] = _
 
     override def forward(x: Array[Double]): Array[Double] = {
@@ -104,10 +104,10 @@ object Net {
   }
 
   /** Residual block: y = x + Dense2(ReLU(Dense1(x))) — the RTDL ResNet cell. */
-  final class ResBlock(dim: Int, hidden: Int, seed: Long, lr: Double = 1e-2) extends Layer {
-    private val d1   = new Dense(dim, hidden, seed, lr)
+  final class ResBlock(dim: Int, hidden: Int, seed: Long) extends Layer {
+    private val d1   = new Dense(dim, hidden, seed)
     private val relu = new ReLU
-    private val d2   = new Dense(hidden, dim, seed ^ 0x5DEECE66DL, lr)
+    private val d2   = new Dense(hidden, dim, seed ^ 0x5DEECE66DL)
 
     override def forward(x: Array[Double]): Array[Double] = {
       val f = d2.forward(relu.forward(d1.forward(x)))

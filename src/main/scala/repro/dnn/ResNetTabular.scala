@@ -5,11 +5,11 @@ import Net._
 /** RTDL-style residual MLP for tabular data — substrate for the RTDL_N,
   * FE|DL and DL|FE baselines (Table III).
   *
-  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×3 → head, trained with
-  * Adam at the layers' default rate. Trained on a pre-made train split (the paper stresses that this
-  * pre-splitting — rather than cross-validation — is exactly why the DNN
-  * baselines collapse on tiny datasets, and our reproduction keeps that
-  * protocol).
+  * Architecture: Dense(p→H) → ReLU → ResBlock(H)×3 → head, with Adam at the
+  * layers' default rate. Trained on a pre-made train split (the paper
+  * stresses that this pre-splitting — rather than cross-validation — is
+  * exactly why the DNN baselines collapse on tiny datasets, and our
+  * reproduction keeps that protocol).
   */
 final class ResNetTabular(
     val classification: Boolean,

@@ -9,7 +9,6 @@ import scala.util.Random
   * learning rate behaves across datasets of very different scales.
   */
 final class LinearSVM(val seed: Long = 13L) extends Learner {
-  // 60 epochs of SGD with step 0.05 / (1 + 0.1·epoch) and L2 weight 1e-3.
   private val epochs = 60
   private val lr     = 0.05
   private val reg    = 1e-3
