@@ -102,6 +102,8 @@ final case class RunResult(
     totalMs: Double,
     selectedKeys: Seq[String],
     curve: Seq[Double],
+    preEvaluated: Long = 0L, // FPE inferences
+    preMs: Double = 0.0,     // time in FPE pre-evaluation
 ) extends Serializable
 
 /** The RL-based AFE engine (Algorithm 2 and the NFS / AutoFS_R baselines on
@@ -239,6 +241,8 @@ final class Engine(
       totalMs = (System.nanoTime() - tStart) / 1e6,
       selectedKeys = bestSelected.map(_.key),
       curve = curve.toSeq,
+      preEvaluated = counters.preEvaluated,
+      preMs = counters.preNanos / 1e6,
     )
   }
 

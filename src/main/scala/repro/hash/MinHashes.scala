@@ -1,5 +1,7 @@
 package repro.hash
 
+import java.util.concurrent.ConcurrentHashMap
+
 /** The paper's sample compressor (Section III-B): MinHash projects a feature
   * column of arbitrary length M into a fixed d-dimensional signature by, for
   * each signature dimension, hashing the rows and emitting the (normalized)
@@ -67,69 +69,118 @@ object MinHashes {
     else values.map(v => eps + (1.0 - eps) * (v - lo) / (hi - lo))
   }
 
-  /** The per-row hash score for one signature dimension; the selected row is
-    * the argmin.
+  /** The random draws of one (seed, d) for rows [0, rows): entry `k * rows + i`
+    * holds dimension k, row i. They depend on (seed, dimension, row) only,
+    * never on the column, so each is computed once (Ioffe 2010 generates
+    * them per element the same way); a signature then does only the
+    * weight-dependent arithmetic. Immutable once built.
     */
-  private def score(
-      variant: HashVariant, w: Double, seed: Long, dim: Int, row: Int): Double =
-    variant match {
-      case HashVariant.Plain =>
-        uniform(seed, dim, row, 1)
-      case HashVariant.ICWS =>
-        val r = gamma2(seed, dim, row, 11)
-        val c = gamma2(seed, dim, row, 13)
-        val b = uniform(seed, dim, row, 17)
-        val t = math.floor(math.log(w) / r + b)
-        val y = math.exp(r * (t - b))
-        c / (y * math.exp(r))
-      case HashVariant.LICWS => // 0-bit CWS: drop the c draw
-        val r = gamma2(seed, dim, row, 11)
-        val b = uniform(seed, dim, row, 17)
-        val t = math.floor(math.log(w) / r + b)
-        val y = math.exp(r * (t - b))
-        1.0 / (y * math.exp(r))
-      case HashVariant.PCWS => // one gamma replaced by a uniform draw
-        val r = gamma2(seed, dim, row, 11)
-        val x = uniform(seed, dim, row, 19)
-        val b = uniform(seed, dim, row, 17)
-        val t = math.floor(math.log(w) / r + b)
-        val y = math.exp(r * (t - b))
-        -math.log(x) / (y * math.exp(r))
-      case HashVariant.CCWS => // canonical: operates on the raw weight
-        val r = gamma2(seed, dim, row, 11)
-        val c = gamma2(seed, dim, row, 13)
-        val b = uniform(seed, dim, row, 17)
-        val t = math.floor(w / r + b)
-        val y = math.abs(r * (t - b)) + 1e-12
-        c / (y + r)
+  private final class Draws(seed: Long, d: Int, val rows: Int) {
+    private def table(f: (Int, Int) => Double): Array[Double] = {
+      val a = new Array[Double](d * rows)
+      for (k <- 0 until d; i <- 0 until rows) a(k * rows + i) = f(k, i)
+      a
     }
+    val plain: Array[Double]   = table(uniform(seed, _, _, 1))
+    val r: Array[Double]       = table(gamma2(seed, _, _, 11))
+    val expR: Array[Double]    = r.map(math.exp)
+    val c: Array[Double]       = table(gamma2(seed, _, _, 13))
+    val beta: Array[Double]    = table(uniform(seed, _, _, 17))
+    val negLogX: Array[Double] = table((k, i) => -math.log(uniform(seed, k, i, 19)))
+  }
 
-  /** Selected row index for each of the d signature dimensions. */
-  def selectedRows(
-      values: Array[Double], d: Int, variant: HashVariant, seed: Long = 7L): Array[Int] = {
+  private val tables = new ConcurrentHashMap[(Long, Int), Draws]()
+
+  /** The (seed, d) draws covering at least `m` rows. A longer column replaces
+    * the table with one of at least twice its rows; readers keep whichever
+    * table they got, so none needs a lock.
+    */
+  private def draws(seed: Long, d: Int, m: Int): Draws = {
+    val t = tables.get((seed, d))
+    if (t != null && t.rows >= m) t
+    else tables.compute((seed, d), (_, old) =>
+      if (old != null && old.rows >= m) old
+      else new Draws(seed, d, if (old == null) m else math.max(m, 2 * old.rows)))
+  }
+
+  /** For each of the d signature dimensions, the row of `w` (normalized
+    * weights) with the smallest hash score: the first on ties, row 0 if no
+    * score is below `Double.MaxValue`. Each score keeps the operations of the
+    * published formula in their order, so the argmin is that formula's.
+    */
+  private def argminRows(w: Array[Double], d: Int, variant: HashVariant, seed: Long): Array[Int] = {
     require(d > 0, "signature dimension must be positive")
-    val w = normalize(values)
-    Array.tabulate(d) { k =>
+    val m  = w.length
+    val t  = draws(seed, d, m)
+    val lw = variant match { // log weights, once per row, for the ICWS family
+      case HashVariant.ICWS | HashVariant.LICWS | HashVariant.PCWS => w.map(math.log)
+      case _                                                       => Array.emptyDoubleArray
+    }
+    val out = new Array[Int](d)
+    var k   = 0
+    while (k < d) {
+      val o       = k * t.rows
       var bestRow = 0
       var best    = Double.MaxValue
       var i       = 0
-      while (i < w.length) {
-        val s = score(variant, w(i), seed, k, i)
-        if (s < best) { best = s; bestRow = i }
-        i += 1
+      variant match {
+        case HashVariant.Plain =>
+          while (i < m) {
+            val s = t.plain(o + i)
+            if (s < best) { best = s; bestRow = i }
+            i += 1
+          }
+        case HashVariant.ICWS =>
+          while (i < m) {
+            val r = t.r(o + i); val b = t.beta(o + i)
+            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
+            val s = t.c(o + i) / (y * t.expR(o + i))
+            if (s < best) { best = s; bestRow = i }
+            i += 1
+          }
+        case HashVariant.LICWS => // 0-bit CWS: drop the c draw
+          while (i < m) {
+            val r = t.r(o + i); val b = t.beta(o + i)
+            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
+            val s = 1.0 / (y * t.expR(o + i))
+            if (s < best) { best = s; bestRow = i }
+            i += 1
+          }
+        case HashVariant.PCWS => // one gamma replaced by a uniform draw
+          while (i < m) {
+            val r = t.r(o + i); val b = t.beta(o + i)
+            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
+            val s = t.negLogX(o + i) / (y * t.expR(o + i))
+            if (s < best) { best = s; bestRow = i }
+            i += 1
+          }
+        case HashVariant.CCWS => // canonical: operates on the raw weight
+          while (i < m) {
+            val r = t.r(o + i); val b = t.beta(o + i)
+            val y = math.abs(r * (math.floor(w(i) / r + b) - b)) + 1e-12
+            val s = t.c(o + i) / (y + r)
+            if (s < best) { best = s; bestRow = i }
+            i += 1
+          }
       }
-      bestRow
+      out(k) = bestRow
+      k += 1
     }
+    out
   }
+
+  /** Selected row index for each of the d signature dimensions. */
+  def selectedRows(
+      values: Array[Double], d: Int, variant: HashVariant, seed: Long = 7L): Array[Int] =
+    argminRows(normalize(values), d, variant, seed)
 
   /** d-dimensional signature: normalized values at the selected rows, sorted
     * ascending (permutation-invariant; see class doc).
     */
   def signature(
       values: Array[Double], d: Int, variant: HashVariant, seed: Long = 7L): Array[Double] = {
-    val w    = normalize(values)
-    val rows = selectedRows(values, d, variant, seed)
-    rows.map(w(_)).sorted
+    val w = normalize(values)
+    argminRows(w, d, variant, seed).map(w(_)).sorted
   }
 
   /** Jaccard-style similarity of two signatures (mean agreement within tol). */

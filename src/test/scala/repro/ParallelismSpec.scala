@@ -1,10 +1,13 @@
 package repro
 
 import java.util.concurrent.{Callable, ForkJoinPool}
+import java.util.concurrent.atomic.AtomicInteger
 import repro.core.{Engine, EngineSpec, RunResult}
 import repro.data.DatasetRegistry
 import repro.fpe.FpeLabeler
+import repro.hash.{HashVariant, MinHashes}
 import repro.ml.ForestGoldenSpec
+import scala.util.Random
 
 /** Results do not depend on how many threads compute them. Each value is
   * computed three ways and compared bit for bit (`doubleToLongBits`): on the
@@ -55,7 +58,7 @@ class ParallelismSpec extends SparkSpec {
 
   private def showRun(r: RunResult): Seq[Any] =
     Seq(r.dataset, r.method, r.hashVariant, bits(r.baseScore), bits(r.score), r.generated,
-      r.evaluated, r.selectedKeys) ++ r.curve.map(bits)
+      r.evaluated, r.preEvaluated, r.selectedKeys) ++ r.curve.map(bits)
 
   Seq("nfs", "eafe").foreach { m =>
     test(s"an Engine $m run is the same on any thread count") {
@@ -63,6 +66,21 @@ class ParallelismSpec extends SparkSpec {
       val model = Option.when(cfg.kind.usesFpe)(EngineSpec.fpe)
       assertSameEverywhere(m)(new Engine(EngineSpec.data, cfg, model, None).run())(showRun)
     }
+  }
+
+  test("MinHash signatures are the same while four threads grow a fresh seed's draws") {
+    val seed    = 4242L // no other test hashes with it, so its draws tables start empty here
+    val rng     = new Random(3)
+    val columns = Seq(3, 17, 48, 100, 257, 600, 601, 999, 1500).map(Array.fill(_)(rng.nextGaussian()))
+    val cases   = for (c <- columns.indices; v <- HashVariant.all; d <- Seq(16, 48)) yield (c, v, d)
+    def hash(c: Int, v: HashVariant, d: Int) = MinHashes.signature(columns(c), d, v, seed).toSeq.map(bits)
+    // Each thread takes the cases, and so the column lengths, in its own order.
+    val next     = new AtomicInteger(0)
+    val byThread = fromCallers(4) {
+      new Random(next.getAndIncrement()).shuffle(cases).map { case k @ (c, v, d) => k -> hash(c, v, d) }.toMap
+    }
+    val serial = cases.map { case k @ (c, v, d) => k -> hash(c, v, d) }.toMap
+    byThread.zipWithIndex.foreach { case (m, i) => assert(m === serial, s"caller thread $i of 4") }
   }
 
   test("FPE labels without a Spark session are the same on any thread count") {

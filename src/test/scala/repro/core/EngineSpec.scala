@@ -86,6 +86,14 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("FPE counters: E-AFE pre-evaluates every generated candidate, NFS none") {
+    val eafe = new Engine(data, tinyCfg("eafe"), Some(fpe), None).run()
+    val nfs  = new Engine(data, tinyCfg("nfs"), None, None).run()
+    assert(eafe.preEvaluated === eafe.generated)
+    assert(eafe.preMs > 0.0)
+    assert(nfs.preEvaluated === 0L && nfs.preMs === 0.0)
+  }
+
   test("E-AFE without an FPE model is rejected") {
     intercept[IllegalArgumentException] {
       new Engine(data, tinyCfg("eafe"), None, None)

@@ -93,12 +93,17 @@ class MinHashesSpec extends SparkSpec {
   }
 
   test("signatures never contain NaN or infinities (scalacheck-generated inputs)") {
-    val gen = Gen.nonEmptyListOf(Gen.chooseNum(-1e6, 1e6))
-    (0 until 40).foreach { i =>
-      val vs = gen.pureApply(Gen.Parameters.default, Seed(i.toLong))
-      for (variant <- HashVariant.all) {
-        val s = MinHashes.signature(vs.toArray, 8, variant)
-        assert(s.forall(x => !x.isNaN && !x.isInfinite), s"${variant.name} on $vs")
+    val value = Gen.chooseNum(-1e6, 1e6)
+    for (d <- Seq(8, 16, 48)) {
+      // Any length, and lengths around d and past a 600-row table.
+      val gens = Gen.nonEmptyListOf(value) +: Seq(1, d - 1, d, 601).map(Gen.listOfN(_, value))
+      for (gen <- gens; i <- 0 until 40) {
+        val vs = gen.pureApply(Gen.Parameters.default, Seed(i.toLong))
+        for (variant <- HashVariant.all) {
+          val s = MinHashes.signature(vs.toArray, d, variant)
+          assert(s.length === d)
+          assert(s.forall(x => !x.isNaN && !x.isInfinite), s"${variant.name} d$d on $vs")
+        }
       }
     }
   }
