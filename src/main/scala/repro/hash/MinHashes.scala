@@ -74,6 +74,12 @@ object MinHashes {
     * never on the column, so each is computed once (Ioffe 2010 generates
     * them per element the same way); a signature then does only the
     * weight-dependent arithmetic. Immutable once built.
+    *
+    * Each `*Row` method returns dimension k's argmin row over the first m
+    * rows: the first on ties, row 0 if no score is below `Double.MaxValue`.
+    * Each score keeps the operations of the published formula in their
+    * order, so the argmin is that formula's. One method per variant keeps
+    * each hot loop's JIT profile to its own variant.
     */
   private final class Draws(seed: Long, d: Int, val rows: Int) {
     private def table(f: (Int, Int) => Double): Array[Double] = {
@@ -81,12 +87,89 @@ object MinHashes {
       for (k <- 0 until d; i <- 0 until rows) a(k * rows + i) = f(k, i)
       a
     }
-    val plain: Array[Double]   = table(uniform(seed, _, _, 1))
-    val r: Array[Double]       = table(gamma2(seed, _, _, 11))
-    val expR: Array[Double]    = r.map(math.exp)
-    val c: Array[Double]       = table(gamma2(seed, _, _, 13))
-    val beta: Array[Double]    = table(uniform(seed, _, _, 17))
-    val negLogX: Array[Double] = table((k, i) => -math.log(uniform(seed, k, i, 19)))
+    private val plain   = table(uniform(seed, _, _, 1))
+    private val r       = table(gamma2(seed, _, _, 11))
+    private val expR    = r.map(math.exp)
+    private val c       = table(gamma2(seed, _, _, 13))
+    private val beta    = table(uniform(seed, _, _, 17))
+    private val negLogX = table((k, i) => -math.log(uniform(seed, k, i, 19)))
+
+    def plainRow(k: Int, m: Int): Int = {
+      val o       = k * rows
+      var bestRow = 0
+      var best    = Double.MaxValue
+      var i       = 0
+      while (i < m) {
+        val s = plain(o + i)
+        if (s < best) { best = s; bestRow = i }
+        i += 1
+      }
+      bestRow
+    }
+
+    /** ICWS on log weights `lw`. */
+    def icwsRow(k: Int, lw: Array[Double]): Int = {
+      val o       = k * rows
+      var bestRow = 0
+      var best    = Double.MaxValue
+      var i       = 0
+      while (i < lw.length) {
+        val rk = r(o + i); val b = beta(o + i)
+        val y  = math.exp(rk * (math.floor(lw(i) / rk + b) - b))
+        val s  = c(o + i) / (y * expR(o + i))
+        if (s < best) { best = s; bestRow = i }
+        i += 1
+      }
+      bestRow
+    }
+
+    /** 0-bit CWS on log weights `lw`: ICWS with the c draw dropped. */
+    def licwsRow(k: Int, lw: Array[Double]): Int = {
+      val o       = k * rows
+      var bestRow = 0
+      var best    = Double.MaxValue
+      var i       = 0
+      while (i < lw.length) {
+        val rk = r(o + i); val b = beta(o + i)
+        val y  = math.exp(rk * (math.floor(lw(i) / rk + b) - b))
+        val s  = 1.0 / (y * expR(o + i))
+        if (s < best) { best = s; bestRow = i }
+        i += 1
+      }
+      bestRow
+    }
+
+    /** PCWS on log weights `lw`: one gamma replaced by a uniform draw. */
+    def pcwsRow(k: Int, lw: Array[Double]): Int = {
+      val o       = k * rows
+      var bestRow = 0
+      var best    = Double.MaxValue
+      var i       = 0
+      while (i < lw.length) {
+        val rk = r(o + i); val b = beta(o + i)
+        val y  = math.exp(rk * (math.floor(lw(i) / rk + b) - b))
+        val s  = negLogX(o + i) / (y * expR(o + i))
+        if (s < best) { best = s; bestRow = i }
+        i += 1
+      }
+      bestRow
+    }
+
+    /** CCWS on the raw weights `w`. */
+    def ccwsRow(k: Int, w: Array[Double]): Int = {
+      val o       = k * rows
+      var bestRow = 0
+      var best    = Double.MaxValue
+      var i       = 0
+      while (i < w.length) {
+        val rk = r(o + i); val b = beta(o + i)
+        val y  = math.abs(rk * (math.floor(w(i) / rk + b) - b)) + 1e-12
+        val s  = c(o + i) / (y + rk)
+        if (s < best) { best = s; bestRow = i }
+        i += 1
+      }
+      bestRow
+    }
   }
 
   private val tables = new ConcurrentHashMap[(Long, Int), Draws]()
@@ -104,69 +187,19 @@ object MinHashes {
   }
 
   /** For each of the d signature dimensions, the row of `w` (normalized
-    * weights) with the smallest hash score: the first on ties, row 0 if no
-    * score is below `Double.MaxValue`. Each score keeps the operations of the
-    * published formula in their order, so the argmin is that formula's.
+    * weights) with the smallest hash score.
     */
   private def argminRows(w: Array[Double], d: Int, variant: HashVariant, seed: Long): Array[Int] = {
     require(d > 0, "signature dimension must be positive")
-    val m  = w.length
-    val t  = draws(seed, d, m)
-    val lw = variant match { // log weights, once per row, for the ICWS family
-      case HashVariant.ICWS | HashVariant.LICWS | HashVariant.PCWS => w.map(math.log)
-      case _                                                       => Array.emptyDoubleArray
+    val t = draws(seed, d, w.length)
+    // The ICWS family takes log w once per row, not once per (dimension, row).
+    variant match {
+      case HashVariant.Plain => Array.tabulate(d)(t.plainRow(_, w.length))
+      case HashVariant.CCWS  => Array.tabulate(d)(t.ccwsRow(_, w))
+      case HashVariant.ICWS  => val lw = w.map(math.log); Array.tabulate(d)(t.icwsRow(_, lw))
+      case HashVariant.LICWS => val lw = w.map(math.log); Array.tabulate(d)(t.licwsRow(_, lw))
+      case HashVariant.PCWS  => val lw = w.map(math.log); Array.tabulate(d)(t.pcwsRow(_, lw))
     }
-    val out = new Array[Int](d)
-    var k   = 0
-    while (k < d) {
-      val o       = k * t.rows
-      var bestRow = 0
-      var best    = Double.MaxValue
-      var i       = 0
-      variant match {
-        case HashVariant.Plain =>
-          while (i < m) {
-            val s = t.plain(o + i)
-            if (s < best) { best = s; bestRow = i }
-            i += 1
-          }
-        case HashVariant.ICWS =>
-          while (i < m) {
-            val r = t.r(o + i); val b = t.beta(o + i)
-            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
-            val s = t.c(o + i) / (y * t.expR(o + i))
-            if (s < best) { best = s; bestRow = i }
-            i += 1
-          }
-        case HashVariant.LICWS => // 0-bit CWS: drop the c draw
-          while (i < m) {
-            val r = t.r(o + i); val b = t.beta(o + i)
-            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
-            val s = 1.0 / (y * t.expR(o + i))
-            if (s < best) { best = s; bestRow = i }
-            i += 1
-          }
-        case HashVariant.PCWS => // one gamma replaced by a uniform draw
-          while (i < m) {
-            val r = t.r(o + i); val b = t.beta(o + i)
-            val y = math.exp(r * (math.floor(lw(i) / r + b) - b))
-            val s = t.negLogX(o + i) / (y * t.expR(o + i))
-            if (s < best) { best = s; bestRow = i }
-            i += 1
-          }
-        case HashVariant.CCWS => // canonical: operates on the raw weight
-          while (i < m) {
-            val r = t.r(o + i); val b = t.beta(o + i)
-            val y = math.abs(r * (math.floor(w(i) / r + b) - b)) + 1e-12
-            val s = t.c(o + i) / (y + r)
-            if (s < best) { best = s; bestRow = i }
-            i += 1
-          }
-      }
-      out(k) = bestRow
-      k += 1
-    }
-    out
   }
 
   /** Selected row index for each of the d signature dimensions. */
