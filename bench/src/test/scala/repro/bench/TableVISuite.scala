@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{BenchResults, BenchTables}
+import repro.eval.{BenchResults, BenchTables, Column}
 
 /** Table VI — significance of the improvement: efficiency gains are strongly
   * significant; the effectiveness gain over NFS is incremental (the paper's
@@ -19,23 +19,23 @@ class TableVISuite extends SparkSpec {
   }
 
   test("Table VI shape: the time improvement over NFS is statistically significant") {
-    val p = result._2(("time", "nfs"))
+    val p = result._2(("time", Column.Nfs))
     assert(p < 0.05, f"time p-value vs NFS = $p%.3g")
   }
 
   test("Table VI shape: the time improvement over AutoFS_R is statistically significant") {
-    val p = result._2(("time", "fsr"))
+    val p = result._2(("time", Column.FsR))
     assert(p < 0.05, f"time p-value vs AutoFS_R = $p%.3g")
   }
 
   test("Table VI shape: the performance improvement over RTDL_N is significant") {
-    val p = result._2(("perf", "dln"))
+    val p = result._2(("perf", Column.DlN))
     assert(p < 0.05, f"performance p-value vs RTDL_N = $p%.3g")
   }
 
   test("Table VI shape: E-AFE is actually faster than NFS, not just significantly different") {
-    val eafe = b.datasets.map(ds => b.grid((ds, "eafe:ccws")).totalMs).sum
-    val nfs  = b.datasets.map(ds => b.grid((ds, "nfs")).totalMs).sum
+    val eafe = b.datasets.map(ds => b.grid((ds, Column.Eafe)).totalMs).sum
+    val nfs  = b.datasets.map(ds => b.grid((ds, Column.Nfs)).totalMs).sum
     assert(eafe < nfs, f"total E-AFE=${eafe / 1000}%.1fs NFS=${nfs / 1000}%.1fs")
     println(f"speedup vs NFS: ${nfs / eafe}%.2fx (paper: ≈2x)")
   }

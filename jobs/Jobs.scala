@@ -1,65 +1,38 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.eval.{BenchResults, BenchTables}
+import repro.eval.BenchResults
+import repro.eval.BenchTables.{tableI, tableIII, tableIV, tableV, tableVI}
 
-/** Shared session factory for the spark-submit entrypoints. */
-object JobSession {
-  def apply(name: String): SparkSession =
-    SparkSession.builder()
+/** A spark-submit entry point for one paper table: builds the shared grid in
+  * a session named `name`, then prints `title` and the table.
+  */
+abstract class TableJob(name: String, title: String, table: BenchResults => String) {
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "64")
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+    println(title)
+    println(table(BenchResults(spark)))
+    spark.stop()
+  }
 }
 
 /** Table I — NFS one-epoch time breakdown (generation vs evaluation). */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("table-i")
-    println("TABLE I: one NFS epoch — time breakdown")
-    println(BenchTables.tableI(BenchResults(spark)))
-    spark.stop()
-  }
-}
+object TableIJob extends TableJob("table-i", "TABLE I: one NFS epoch — time breakdown", tableI)
 
 /** Table III — method comparison on the 36 target datasets. */
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("table-iii")
-    println("TABLE III: comparison results on 36 target datasets")
-    println(BenchTables.tableIII(BenchResults(spark)))
-    spark.stop()
-  }
-}
+object TableIIIJob
+    extends TableJob("table-iii", "TABLE III: comparison results on 36 target datasets", tableIII)
 
 /** Table IV — downstream feature-evaluation counts. */
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("table-iv")
-    println("TABLE IV: feature evaluation counts per run")
-    println(BenchTables.tableIV(BenchResults(spark)))
-    spark.stop()
-  }
-}
+object TableIVJob extends TableJob("table-iv", "TABLE IV: feature evaluation counts per run", tableIV)
 
 /** Table V — downstream-task swap (SVM / NB-GP / MLP). */
-object TableVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("table-v")
-    println("TABLE V: replaced downstream tasks")
-    println(BenchTables.tableV(BenchResults(spark)))
-    spark.stop()
-  }
-}
+object TableVJob extends TableJob("table-v", "TABLE V: replaced downstream tasks", tableV)
 
 /** Table VI — significance of the improvements. */
-object TableVIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession("table-vi")
-    println("TABLE VI: p-values of E-AFE vs baselines")
-    println(BenchTables.tableVI(BenchResults(spark))._1)
-    spark.stop()
-  }
-}
+object TableVIJob extends TableJob("table-vi", "TABLE VI: p-values of E-AFE vs baselines", tableVI(_)._1)

@@ -37,7 +37,9 @@ object Method {
   case object EafeD extends Method("eafe_d", randomDropout = true, returns = LambdaReturns)
   case object EafeR extends Method("eafe_r", usesFpe = true, returns = FlatRewards)
 
-  val all: Seq[Method] = Seq(Nfs, Fsr, Eafe, EafeD, EafeR)
+  // Lazy: a case's constructor reads this object's defaults, so a strict `all`
+  // built while a case is first touched would hold that case as null.
+  lazy val all: Seq[Method] = Seq(Nfs, Fsr, Eafe, EafeD, EafeR)
   def byName(n: String): Method =
     all.find(_.name == n).getOrElse(sys.error(s"unknown method: $n"))
 }
@@ -78,16 +80,6 @@ final case class MethodConfig(
     if (kind.twoStage) stage1Epochs + stage2Epochs else stage2Epochs
 }
 
-/** Per-run effort/time accounting (Tables I, IV, VI). */
-final case class RunCounters(
-    var generated: Long = 0L,     // new candidate features created
-    var preEvaluated: Long = 0L,  // FPE inferences
-    var evaluated: Long = 0L,     // downstream (RF CV) evaluations
-    var genNanos: Long = 0L,
-    var preNanos: Long = 0L,
-    var evalNanos: Long = 0L,
-) extends Serializable
-
 /** Outcome of one (dataset, method) run. */
 final case class RunResult(
     dataset: String,
@@ -126,7 +118,6 @@ final class Engine(
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
   private val memo     = mutable.Map.empty[String, Array[Double]]
   private val scoreCache = mutable.Map.empty[String, Double]
-  private val counters = RunCounters()
   private val rng      = new Random(cfg.seed * 7919L + data.name.hashCode)
 
   private val n         = data.nFeatures
@@ -148,6 +139,11 @@ final class Engine(
   private val aPrevH       = new Array[Double](n) // stage-1 pseudo-score chain (Equ. 8–9)
   private val fpeProbs = mutable.ArrayBuffer.empty[Double]
 
+  // Effort and time accounting (Tables I, IV, VI): candidates generated, FPE
+  // inferences, downstream (RF CV) evaluations, and the nanos of each phase.
+  private var generated, preEvaluated, evaluated = 0L
+  private var genNanos, preNanos, evalNanos      = 0L
+
   // Per-epoch trajectory of each agent, and the current round's rewards.
   private val hidden     = new Array[Array[Double]](n)
   private val stepReward = new Array[Double](n)
@@ -165,10 +161,10 @@ final class Engine(
   /** Downstream CV score of a feature set; cached by canonical set key. */
   private def score(exprs: Seq[FeatExpr]): Double =
     scoreCache.getOrElseUpdate(setKey(exprs), {
-      counters.evaluated += 1
+      evaluated += 1
       val t0 = System.nanoTime()
       val s  = CrossVal.forest(dataset(exprs), cfg.rfTrees, cfg.rfDepth, cfg.folds, cfg.seed)
-      counters.evalNanos += System.nanoTime() - t0
+      evalNanos += System.nanoTime() - t0
       s
     })
 
@@ -192,8 +188,8 @@ final class Engine(
       key -> CrossVal.forest(sel.withColumns(Seq(col)), c.rfTrees, c.rfDepth, c.folds, c.seed)
     }
     val scores = FanOut.map(spark, fresh.map(e => (e.key, materialize(e))))(cv).toMap
-    counters.evaluated += fresh.size
-    counters.evalNanos += System.nanoTime() - t0
+    evaluated += fresh.size
+    evalNanos += System.nanoTime() - t0
     scores
   }
 
@@ -234,15 +230,15 @@ final class Engine(
       hashVariant = if (method.usesFpe) cfg.hashVariant else "",
       baseScore = baseScore,
       score = bestScore,
-      generated = counters.generated,
-      evaluated = counters.evaluated,
-      genMs = counters.genNanos / 1e6,
-      evalMs = counters.evalNanos / 1e6,
+      generated = generated,
+      evaluated = evaluated,
+      genMs = genNanos / 1e6,
+      evalMs = evalNanos / 1e6,
       totalMs = (System.nanoTime() - tStart) / 1e6,
       selectedKeys = bestSelected.map(_.key),
       curve = curve.toSeq,
-      preEvaluated = counters.preEvaluated,
-      preMs = counters.preNanos / 1e6,
+      preEvaluated = preEvaluated,
+      preMs = preNanos / 1e6,
     )
   }
 
@@ -310,8 +306,8 @@ final class Engine(
       e.order <= cfg.maxOrder && (method.randomGeneration || !seen.contains(e.key))
     }
     valid.foreach { case (_, e) => seen += e.key }
-    counters.generated += valid.size
-    counters.genNanos += System.nanoTime() - tGen
+    generated += valid.size
+    genNanos += System.nanoTime() - tGen
     valid
   }
 
@@ -336,7 +332,7 @@ final class Engine(
     if (method.usesFpe) {
       val tPre   = System.nanoTime()
       val scored = valid.map { case (i, e) => (i, e, fpe.get.p(materialize(e))) }
-      counters.preEvaluated += valid.size
+      preEvaluated += valid.size
       val thr = fpeThreshold // threshold from features seen BEFORE this batch
       scored.foreach { case (_, _, pBad) => fpeProbs += 1.0 - pBad }
       val kept = scored.filter { case (i, e, pBad) =>
@@ -353,7 +349,7 @@ final class Engine(
         }
         positive
       }.map { case (i, e, _) => (i, e) }
-      counters.preNanos += System.nanoTime() - tPre
+      preNanos += System.nanoTime() - tPre
       if (stage1) Seq.empty else kept
     } else if (method.randomDropout) valid.filter(_ => rng.nextDouble() < 0.5)
     else valid

@@ -4,25 +4,50 @@ import java.io.{File, PrintWriter}
 import org.apache.commons.math3.stat.inference.TTest
 import org.apache.spark.sql.SparkSession
 import repro.FanOut
-import repro.core.{MethodConfig, RunResult}
+import repro.core.{Method, MethodConfig, RunResult}
 import repro.data.DatasetRegistry
 import repro.fpe.{FpeLabeler, FpeModel}
 import repro.hash.HashVariant
 
+/** One Table III column, with its TSV header. */
+sealed abstract class Column(val header: String) extends Serializable
+
+object Column {
+  import HashVariant.{CCWS, ICWS, LICWS, PCWS}
+
+  /** A column whose runs need no other run's output (grid phase A). */
+  sealed abstract class Standalone(header: String) extends Column(header)
+
+  /** A [[Method]] on the shared Engine; `variant` is its FPE's (CCWS where it has none). */
+  sealed abstract class Rl(header: String, val method: Method, val variant: HashVariant)
+      extends Standalone(header)
+
+  case object FsR   extends Rl("FS_R", Method.Fsr, CCWS)
+  case object DlN   extends Standalone("DL_N")
+  case object Nfs   extends Rl("NFS", Method.Nfs, CCWS)
+  case object DlFe  extends Standalone("DL|FE")
+  case object EafeR extends Rl("E-AFE_R", Method.EafeR, CCWS)
+  case object EafeD extends Rl("E-AFE_D", Method.EafeD, CCWS)
+  case object EafeL extends Rl("E-AFE^L", Method.Eafe, LICWS)
+  case object EafeP extends Rl("E-AFE^P", Method.Eafe, PCWS)
+  case object EafeI extends Rl("E-AFE^I", Method.Eafe, ICWS)
+  case object Eafe  extends Rl("E-AFE", Method.Eafe, CCWS)
+
+  /** FE|DL trains on the features that `Eafe`'s run selected (grid phase B). */
+  case object FeDl extends Column("FE|DL")
+
+  /** Table III's columns, paper order. */
+  val all: Seq[Column] = Seq(FsR, DlN, Nfs, FeDl, DlFe, EafeR, EafeD, EafeL, EafeP, EafeI, Eafe)
+}
+
 /** Builds the paper's evaluation tables (I, III, IV, V, VI) from one shared
-  * grid of runs. The grid — 36 datasets × 11 methods — is fanned out as one
+  * grid of runs. The grid — 36 datasets × 11 columns — is fanned out as one
   * Spark task per run; FPE pre-training (leave-one-feature-out labeling over
-  * the public datasets) is itself a Spark job. Results are cached per
-  * SparkSession so every bench suite reuses the same runs, and written as
-  * TSVs under bench-results/.
+  * the public datasets) is itself a Spark job. Every bench suite reuses the
+  * same runs through `BenchResults.apply`, and the tables are written as TSVs
+  * under bench-results/.
   */
 final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
-
-  /** Table III method columns, paper order. */
-  val methods: Seq[String] = Seq(
-    "fsr", "dln", "nfs", "fe_dl", "dl_fe", "eafe_r", "eafe_d",
-    "eafe:licws", "eafe:pcws", "eafe:icws", "eafe:ccws",
-  )
 
   val datasets: Seq[String] = DatasetRegistry.targets.map(_.name)
 
@@ -32,12 +57,11 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
     FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(),
       FpeLabeler.Config(seed = seed), genPerDataset = 10, spark = Some(spark))
 
-  /** One FPE model per hash variant (Table III's E-AFE^L/^P/^I/E-AFE). */
-  lazy val fpeModels: Map[String, FpeModel.Trained] = {
+  /** One FPE model per hash variant an FPE column uses (E-AFE^L/^P/^I/E-AFE). */
+  lazy val fpeModels: Map[HashVariant, FpeModel.Trained] = {
     val l = labeled
-    Seq("ccws", "icws", "pcws", "licws").map { v =>
-      v -> FpeModel.trainBest(l, variants = Seq(HashVariant.byName(v)), seed = seed)
-    }.toMap
+    Column.all.collect { case c: Column.Rl if c.method.usesFpe => c.variant }.distinct
+      .map(v => v -> FpeModel.trainBest(l, variants = Seq(v), seed = seed)).toMap
   }
 
   // --- The run grid ---------------------------------------------------------
@@ -46,47 +70,42 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
   // task closure captures this object.
 
   /** Phase A: every run that does not depend on another run's output. */
-  lazy val gridA: Map[(String, String), RunResult] = {
-    val work = for {
-      ds <- datasets
-      m  <- methods if m != "fe_dl"
-    } yield (ds, m, seed, fpeModels)
-    FanOut.map(Some(spark), work) { case (ds, m, sd, models) =>
-      val r = m match {
-        case "dln"   => Harness.runDlN(ds, sd)
-        case "dl_fe" => Harness.runDlFe(ds, sd)
-        case key => // method[:hash variant]
-          val cfg = key.split(':') match {
-            case Array(method, hv) => MethodConfig(method, hashVariant = hv, seed = sd)
-            case Array(method)     => MethodConfig(method, seed = sd)
-          }
-          Harness.runRl(ds, cfg, Option.when(cfg.kind.usesFpe)(models(cfg.hashVariant)), None)
+  lazy val gridA: Map[(String, Column), RunResult] = {
+    val work = for (ds <- datasets; c <- Column.all.collect { case c: Column.Standalone => c })
+      yield (ds, c, seed, fpeModels)
+    FanOut.map(Some(spark), work) { case (ds, c, sd, models) =>
+      val r = c match {
+        case Column.DlN  => Harness.runDlN(ds, sd)
+        case Column.DlFe => Harness.runDlFe(ds, sd)
+        case rl: Column.Rl =>
+          val cfg = MethodConfig(rl.method.name, hashVariant = rl.variant.name, seed = sd)
+          Harness.runRl(ds, cfg, Option.when(rl.method.usesFpe)(models(rl.variant)), None)
       }
-      (ds, m) -> r
+      (ds, c) -> r
     }.toMap
   }
 
   /** Phase B: FE|DL consumes E-AFE's selected features. */
-  lazy val gridB: Map[(String, String), RunResult] = {
-    val work = datasets.map(ds => (ds, gridA((ds, "eafe:ccws")).selectedKeys, seed))
+  lazy val gridB: Map[(String, Column), RunResult] = {
+    val work = datasets.map(ds => (ds, gridA((ds, Column.Eafe)).selectedKeys, seed))
     FanOut.map(Some(spark), work) { case (ds, keys, sd) =>
-      (ds, "fe_dl") -> Harness.runFeDl(ds, keys, sd)
+      (ds, Column.FeDl) -> Harness.runFeDl(ds, keys, sd)
     }.toMap
   }
 
-  lazy val grid: Map[(String, String), RunResult] = gridA ++ gridB
+  lazy val grid: Map[(String, Column), RunResult] = gridA ++ gridB
 
   // --- Table V swap ---------------------------------------------------------
 
-  /** (dataset, method, swapModel) → score for AutoFS_R / NFS / E-AFE. */
-  lazy val tableVScores: Map[(String, String, String), Double] = {
+  /** (dataset, column, swap) → score of the column's selected features. */
+  lazy val tableVScores: Map[(String, Column, Swap), Double] = {
     val work = for {
       ds   <- datasets
-      m    <- Seq("fsr", "nfs", "eafe:ccws")
-      swap <- Seq("svm", "nbgp", "mlp")
-    } yield (ds, m, swap, grid((ds, m)).selectedKeys, seed)
-    FanOut.map(Some(spark), work) { case (ds, m, swap, keys, sd) =>
-      (ds, m, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
+      c    <- BenchTables.tableVColumns
+      swap <- Swap.all
+    } yield (ds, c, swap, grid((ds, c)).selectedKeys, seed)
+    FanOut.map(Some(spark), work) { case (ds, c, swap, keys, sd) =>
+      (ds, c, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
     }.toMap
   }
 
@@ -104,6 +123,9 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
   }
 }
 
+/** The first `BenchResults` made in this JVM is kept for the JVM's lifetime:
+  * a later call returns it and ignores its own `spark` argument.
+  */
 object BenchResults {
   private var cached: Option[BenchResults] = None
   def apply(spark: SparkSession): BenchResults = synchronized {
@@ -116,17 +138,19 @@ object BenchTables {
 
   private def fmt(d: Double): String = f"$d%.3f"
 
-  def writeTsv(path: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
+  /** Writes the table to bench-results/`name`.tsv and returns it rendered. */
+  private def emit(name: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     // Forked bench-test JVMs run from bench/ — anchor output at the repo root.
     val cwd  = new File("").getAbsoluteFile
     val root = if (cwd.getName == "bench") cwd.getParentFile else cwd
-    val f    = new File(root, path)
+    val f    = new File(root, s"bench-results/$name.tsv")
     Option(f.getParentFile).foreach(_.mkdirs())
     val pw = new PrintWriter(f)
     try {
       pw.println(header.mkString("\t"))
       rows.foreach(r => pw.println(r.mkString("\t")))
     } finally pw.close()
+    render(header, rows)
   }
 
   /** Table I: one NFS epoch — generation vs evaluation time. */
@@ -139,78 +163,71 @@ object BenchTables {
         r.generated.toString, f"${r.genMs}%.0fms", f"${r.evalMs / 1000}%.1fs",
         f"${r.totalMs / 1000}%.1fs")
     }
-    writeTsv("bench-results/tableI.tsv", header, rows)
-    render(header, rows)
+    emit("tableI", header, rows)
   }
 
   /** Table III: scores of the 11 methods on the 36 datasets. */
   def tableIII(b: BenchResults): String = {
-    val header = Seq("Dataset", "C\\R", "Samples\\Features", "FS_R", "DL_N", "NFS", "FE|DL",
-      "DL|FE", "E-AFE_R", "E-AFE_D", "E-AFE^L", "E-AFE^P", "E-AFE^I", "E-AFE")
+    val header = Seq("Dataset", "C\\R", "Samples\\Features") ++ Column.all.map(_.header)
     val rows = b.datasets.map { ds =>
       val e = DatasetRegistry.byName(ds)
       Seq(ds, if (e.classification) "C" else "R", s"${e.paperSamples}\\${e.paperFeatures}") ++
-        b.methods.map(m => fmt(b.grid((ds, m)).score))
+        Column.all.map(c => fmt(b.grid((ds, c)).score))
     }
-    writeTsv("bench-results/tableIII.tsv", header, rows)
-    render(header, rows)
+    emit("tableIII", header, rows)
   }
+
+  /** Table IV's columns. */
+  val tableIVColumns: Seq[Column] = Seq(Column.FsR, Column.Nfs, Column.EafeD, Column.Eafe)
 
   /** Table IV: downstream feature-evaluation counts per run. */
   def tableIV(b: BenchResults): String = {
-    val header = Seq("Dataset", "FS_R", "NFS", "E-AFE_D", "E-AFE")
+    val header = "Dataset" +: tableIVColumns.map(_.header)
     val rows = b.datasets.map { ds =>
-      Seq(ds) ++ Seq("fsr", "nfs", "eafe_d", "eafe:ccws").map(m =>
-        b.grid((ds, m)).evaluated.toString)
+      ds +: tableIVColumns.map(c => b.grid((ds, c)).evaluated.toString)
     }
-    writeTsv("bench-results/tableIV.tsv", header, rows)
-    render(header, rows)
+    emit("tableIV", header, rows)
   }
+
+  /** Table V's columns: AutoFS_R, NFS and E-AFE. */
+  val tableVColumns: Seq[Column] = Seq(Column.FsR, Column.Nfs, Column.Eafe)
+
+  private val tableVCells = for (c <- tableVColumns; swap <- Swap.all) yield (c, swap)
+
+  /** Table V's labels are Table III's headers without their punctuation (FSR, EAFE). */
+  val tableVHeader: Seq[String] = Seq("Dataset", "C\\R") ++
+    tableVCells.map { case (c, swap) => s"${c.header.filter(_.isLetter)}-${swap.header}" }
 
   /** Table V: downstream-task swap (SVM / NB-GP / MLP). */
   def tableV(b: BenchResults): String = {
-    val header = Seq("Dataset", "C\\R",
-      "FSR-SVM", "FSR-NBGP", "FSR-MLP",
-      "NFS-SVM", "NFS-NBGP", "NFS-MLP",
-      "EAFE-SVM", "EAFE-NBGP", "EAFE-MLP")
     val rows = b.datasets.map { ds =>
       val e = DatasetRegistry.byName(ds)
-      Seq(ds, if (e.classification) "C" else "R") ++ (for {
-        m    <- Seq("fsr", "nfs", "eafe:ccws")
-        swap <- Seq("svm", "nbgp", "mlp")
-      } yield fmt(b.tableVScores((ds, m, swap))))
+      Seq(ds, if (e.classification) "C" else "R") ++
+        tableVCells.map { case (c, swap) => fmt(b.tableVScores((ds, c, swap))) }
     }
-    writeTsv("bench-results/tableV.tsv", header, rows)
-    render(header, rows)
+    emit("tableV", tableVHeader, rows)
   }
 
-  /** Table VI: paired-t p-values of E-AFE vs each baseline, for scores and
-    * wall-times.
-    */
-  def tableVI(b: BenchResults): (String, Map[(String, String), Double]) = {
-    val tt   = new TTest()
-    val eafeS = b.datasets.map(ds => b.grid((ds, "eafe:ccws")).score).toArray
-    val eafeT = b.datasets.map(ds => b.grid((ds, "eafe:ccws")).totalMs).toArray
-    def p(m: String): (Double, Double) = {
-      val s = b.datasets.map(ds => b.grid((ds, m)).score).toArray
-      val t = b.datasets.map(ds => b.grid((ds, m)).totalMs).toArray
-      (tt.pairedTTest(eafeS, s), tt.pairedTTest(eafeT, t))
+  /** Table VI: paired-t p-values of E-AFE vs each baseline, for scores and wall-times. */
+  def tableVI(b: BenchResults): (String, Map[(String, Column), Double]) = {
+    val tt = new TTest()
+    def pValue(of: RunResult => Double, c: Column): Double = {
+      def values(c: Column) = b.datasets.map(ds => of(b.grid((ds, c)))).toArray
+      tt.pairedTTest(values(Column.Eafe), values(c))
     }
-    val cols = Seq("fsr" -> "AutoFS_R|E-AFE", "dln" -> "RTDL_N|E-AFE", "nfs" -> "NFS|E-AFE")
-    val ps   = cols.map { case (m, _) => m -> p(m) }.toMap
-    val header = Seq("P-value") ++ cols.map(_._2)
-    val rows = Seq(
-      Seq("Performance") ++ cols.map { case (m, _) => f"${ps(m)._1}%.3g" },
-      Seq("Time") ++ cols.map { case (m, _) => f"${ps(m)._2}%.3g" },
-    )
-    writeTsv("bench-results/tableVI.tsv", header, rows)
-    val values = cols.flatMap { case (m, _) =>
-      Seq(("perf", m) -> ps(m)._1, ("time", m) -> ps(m)._2)
-    }.toMap
-    (render(header, rows), values)
+    val cols: Seq[(Column, String)] =
+      Seq(Column.FsR -> "AutoFS_R|E-AFE", Column.DlN -> "RTDL_N|E-AFE", Column.Nfs -> "NFS|E-AFE")
+    val measures: Seq[(String, String, RunResult => Double)] =
+      Seq(("perf", "Performance", _.score), ("time", "Time", _.totalMs))
+    val ps = (for ((key, _, of) <- measures; (c, _) <- cols) yield (key, c) -> pValue(of, c)).toMap
+    val header = "P-value" +: cols.map(_._2)
+    val rows = measures.map { case (key, label, _) =>
+      label +: cols.map { case (c, _) => f"${ps((key, c))}%.3g" }
+    }
+    (emit("tableVI", header, rows), ps)
   }
 
-  def render(header: Seq[String], rows: Seq[Seq[String]]): String = {
+  private def render(header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all    = header +: rows
     val widths = header.indices.map(i => all.map(_(i).length).max)
     all.map(r => r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("  "))

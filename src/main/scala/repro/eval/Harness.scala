@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.{DatasetRegistry, TabularData}
-import repro.dnn.ResNetTabular
+import repro.dnn.{MLPLearner, ResNetTabular}
 import repro.fpe.FpeModel
 import repro.ml._
 import scala.collection.mutable
@@ -139,24 +139,33 @@ object Harness {
 
   // --- Table V: downstream-task swap ---------------------------------------
 
-  /** Re-evaluate a method's cached selected features with a different
-    * downstream model family. `model` ∈ {svm, nbgp, mlp}; "nbgp" is Naive
-    * Bayes on classification datasets and a Gaussian Process on regression
-    * (the paper's fused "NB GP" column); "svm" uses ridge (linear SVR) on
-    * regression datasets. The learner takes the re-materialized programs'
+  /** Re-evaluate a method's cached selected features with the downstream
+    * model family `swap`. The learner takes the re-materialized programs'
     * rows (the raw features' when there are no keys).
     */
-  def reEvaluate(name: String, selectedKeys: Seq[String], model: String, seed: Long = 1L): Double = {
+  def reEvaluate(name: String, selectedKeys: Seq[String], swap: Swap, seed: Long = 1L): Double = {
     val d = prepare(name).subsample(700, seed)
-    val learner: Learner = (model, d.classification) match {
-      case ("svm", true)   => new LinearSVM(seed = seed)
-      case ("svm", false)  => new RidgeRegression()
-      case ("nbgp", true)  => new NaiveBayes()
-      case ("nbgp", false) => new GaussianProcess(seed = seed)
-      case ("mlp", c)      => new repro.dnn.MLPLearner(c, seed = seed)
-      case _               => sys.error(s"unknown swap model: $model")
-    }
     val m = programs(d, selectedKeys)
-    CrossVal.score(m.rows, m.y, learner, 3, seed)
+    CrossVal.score(m.rows, m.y, swap.learner(d.classification, seed), 3, seed)
   }
+}
+
+/** A Table V downstream model family; each picks its learner from the task
+  * type. NB-GP is Naive Bayes on classification and a Gaussian Process on
+  * regression (the paper's fused "NB GP" column); SVM is ridge (linear SVR)
+  * on regression.
+  */
+sealed abstract class Swap(val header: String, classifier: Long => Learner, regressor: Long => Learner)
+    extends Serializable {
+  def learner(classification: Boolean, seed: Long): Learner =
+    if (classification) classifier(seed) else regressor(seed)
+}
+
+object Swap {
+  case object Svm  extends Swap("SVM", s => new LinearSVM(seed = s), _ => new RidgeRegression())
+  case object NbGp extends Swap("NBGP", _ => new NaiveBayes(), s => new GaussianProcess(seed = s))
+  case object Mlp
+      extends Swap("MLP", s => new MLPLearner(true, seed = s), s => new MLPLearner(false, seed = s))
+
+  val all: Seq[Swap] = Seq(Svm, NbGp, Mlp)
 }

@@ -2,7 +2,7 @@ package repro
 
 import repro.core.{Engine, MethodConfig}
 import repro.data.{DatasetRegistry, SyntheticTabular}
-import repro.eval.Harness
+import repro.eval.{Harness, Swap}
 import repro.fpe.{FpeLabeler, FpeModel}
 import repro.hash.HashVariant
 
@@ -66,7 +66,7 @@ class EndToEndSpec extends SparkSpec {
     val r = new Engine(data, cfg, Some(fpe), None).run()
     // Re-materialize on "hepatitis"-sized registry data to exercise the path
     // used by Table V (keys reference raw indices f0..f4, present there too).
-    val s = Harness.reEvaluate("hepatitis", r.selectedKeys.filter(_.length < 40), "nbgp")
+    val s = Harness.reEvaluate("hepatitis", r.selectedKeys.filter(_.length < 40), Swap.NbGp)
     assert(s >= 0.0 && s <= 1.0)
   }
 }
