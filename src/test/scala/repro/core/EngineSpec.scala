@@ -86,6 +86,27 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("NFS and E-AFE reproduce their pinned runs on the regression fixture") {
+    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
+    val nfsBest  = 0.05705868585216737
+    val eafeBest = 0.04353354743088652
+    // (method, evaluated, generated, curve, score); the raw features score 0.0
+    val golden = Seq(
+      ("nfs", 17, 16, Seq(nfsBest, nfsBest), nfsBest),
+      ("eafe", 14, 24, Seq(0.0, eafeBest, eafeBest), eafeBest),
+    )
+    golden.foreach { case (m, evaluated, generated, curve, score) =>
+      val cfg = tinyCfg(m)
+      val r   = new Engine(reg, cfg, Option.when(cfg.kind.usesFpe)(fpe), None).run()
+      withClue(s"$m: ") {
+        assert(r.evaluated === evaluated && r.generated === generated)
+        assert(bits(r.baseScore) === bits(0.0))
+        assert(r.curve.map(bits) === curve.map(bits))
+        assert(bits(r.score) === bits(score))
+      }
+    }
+  }
+
   test("FPE counters: E-AFE pre-evaluates every generated candidate, NFS none") {
     val eafe = new Engine(data, tinyCfg("eafe"), Some(fpe), None).run()
     val nfs  = new Engine(data, tinyCfg("nfs"), None, None).run()
@@ -126,18 +147,19 @@ class EngineSpec extends SparkSpec {
   }
 
   test("regression datasets run through the same engine") {
-    val reg = SyntheticTabular.generate(
-      SyntheticTabular.Spec("engine-reg", 180, 4, classification = false, seed = 22))
     val r = new Engine(reg, tinyCfg("nfs"), None, None).run()
     assert(r.score >= 0.0 && r.score <= 1.0)
     assert(r.score >= r.baseScore)
   }
 }
 
-/** The engine fixtures `ParallelismSpec` shares. */
+/** The engine fixtures, which `ParallelismSpec` shares. */
 object EngineSpec {
   lazy val data = SyntheticTabular.generate(
     SyntheticTabular.Spec("engine-ds", 200, 5, classification = true, seed = 21))
+
+  lazy val reg = SyntheticTabular.generate(
+    SyntheticTabular.Spec("engine-reg", 180, 4, classification = false, seed = 22))
 
   lazy val fpe: FpeModel.Trained = {
     val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
