@@ -100,11 +100,11 @@ final case class RunResult(
 
 /** The RL-based AFE engine (Algorithm 2 and the NFS / AutoFS_R baselines on
   * the same substrate). One [[RnnPolicy]] agent per original feature; per
-  * generation round every agent proposes one `OPERATOR(f1, f2)` candidate and
-  * the round's surviving candidates are evaluated on the downstream task in
-  * parallel ([[FanOut]]): on the common fork-join pool, or as one Spark task
-  * each when a session is supplied. An Engine makes one run, on one calling
-  * thread.
+  * generation round every agent proposes one `OPERATOR(f1, f2)` candidate.
+  * A stage-1 round rewards the agents from the FPE alone; any other round
+  * evaluates its surviving candidates on the downstream task in parallel
+  * ([[FanOut]]): on the common fork-join pool, or as one Spark task each when
+  * a session is supplied. An Engine makes one run, on one calling thread.
   */
 final class Engine(
     val data: TabularData,
@@ -115,40 +115,46 @@ final class Engine(
   private val method = cfg.kind
   require(!method.usesFpe || fpe.isDefined, s"${cfg.method} requires a trained FPE model")
 
+  /** Original feature `raw`'s agent: its policy and operand subgroup, the
+    * current epoch's trajectory, and its stage-1 pseudo-score (Equ. 8–9).
+    */
+  private final class Agent(raw: Raw) {
+    val policy   = new RnnPolicy(Ops.all.length, seed = cfg.seed * 1000L + raw.idx)
+    val subgroup = mutable.ArrayBuffer[FeatExpr](raw)
+    val steps    = mutable.ArrayBuffer.empty[PolicyStep]
+    val rewards  = mutable.ArrayBuffer.empty[Double]
+    var hidden   = policy.freshHidden
+    var pseudoScore = 0.0
+
+    def startEpoch(): Unit = { hidden = policy.freshHidden; steps.clear(); rewards.clear() }
+    def grow(e: FeatExpr): Unit = if (subgroup.size < cfg.maxSubgroup) subgroup += e
+  }
+
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
   private val memo     = mutable.Map.empty[String, Array[Double]]
   private val scoreCache = mutable.Map.empty[String, Double]
   private val rng      = new Random(cfg.seed * 7919L + data.name.hashCode)
 
-  private val n         = data.nFeatures
-  private val raws      = (0 until n).map(Raw(_))
-  private val agents    = Array.tabulate(n)(i => new RnnPolicy(Ops.all.length, seed = cfg.seed * 1000L + i))
-  private val subgroups = Array.tabulate(n)(i => mutable.ArrayBuffer[FeatExpr](raws(i)))
+  private val n      = data.nFeatures
+  private val raws   = (0 until n).map(Raw(_))
+  private val agents = raws.map(new Agent(_))
   // Within-epoch dedup only: across epochs a re-proposed feature is
   // re-submitted to evaluation, exactly as NFS does (Table IV counts it).
   private val seen      = mutable.Set.empty[String]
   private val selected  = mutable.ArrayBuffer[FeatExpr](raws: _*)
-  // Replay buffer of stage-1 positives: (agent, program, P(effective)).
-  private val replay    = mutable.ArrayBuffer.empty[(Int, FeatExpr, Double)]
+  // Replay buffer of stage-1 positives: (program, P(effective)).
+  private val replay    = mutable.ArrayBuffer.empty[(FeatExpr, Double)]
   private val curve     = mutable.ArrayBuffer.empty[Double]
-  // `run` starts every score at the raw features' downstream score.
+  // `run` starts both scores at the raw features' downstream score.
   private var baseScore    = 0.0
-  private var curScore     = 0.0
   private var bestScore    = 0.0
   private var bestSelected = selected.toVector
-  private val aPrevH       = new Array[Double](n) // stage-1 pseudo-score chain (Equ. 8–9)
   private val fpeProbs = mutable.ArrayBuffer.empty[Double]
 
   // Effort and time accounting (Tables I, IV, VI): candidates generated, FPE
   // inferences, downstream (RF CV) evaluations, and the nanos of each phase.
   private var generated, preEvaluated, evaluated = 0L
   private var genNanos, preNanos, evalNanos      = 0L
-
-  // Per-epoch trajectory of each agent, and the current round's rewards.
-  private val hidden     = new Array[Array[Double]](n)
-  private val stepReward = new Array[Double](n)
-  private val steps      = Array.fill(n)(mutable.ArrayBuffer.empty[PolicyStep])
-  private val rewards    = Array.fill(n)(mutable.ArrayBuffer.empty[Double])
 
   private def materialize(e: FeatExpr): Array[Double] = e.evalLocal(evalData.columns, memo)
 
@@ -168,7 +174,7 @@ final class Engine(
       s
     })
 
-  /** Evaluate the state plus one candidate for every distinct candidate, in
+  /** Evaluate `state` plus one candidate for every distinct candidate, in
     * parallel ([[FanOut]]): on the common fork-join pool, or one Spark task
     * per candidate when a session is available. Every path gives the same
     * scores (seeded learner). The columns are materialized on the calling
@@ -177,13 +183,13 @@ final class Engine(
     * every submitted feature, and Table I/IV/VI account evaluations that way.
     * `evalNanos` is the batch's wall time.
     */
-  private def evalBatch(candidates: Seq[FeatExpr]): Map[String, Double] = {
+  private def evalBatch(state: Seq[FeatExpr], candidates: Seq[FeatExpr]): Map[String, Double] = {
     val fresh = candidates.distinctBy(_.key)
     if (fresh.isEmpty) return Map.empty
 
     val t0 = System.nanoTime()
     // Locals only: the tasks must not capture this Engine.
-    val (sel, c) = (dataset(selected.toSeq), cfg)
+    val (sel, c) = (dataset(state), cfg)
     val cv: ((String, Array[Double])) => (String, Double) = { case (key, col) =>
       key -> CrossVal.forest(sel.withColumns(Seq(col)), c.rfTrees, c.rfDepth, c.folds, c.seed)
     }
@@ -196,25 +202,24 @@ final class Engine(
   private def room(e: FeatExpr): Boolean =
     selected.size < n + cfg.extraSelectedCap && !selected.exists(_.key == e.key)
 
+  /** The one place the best score and its feature set move. */
   private def raiseBest(s: Double, set: => Vector[FeatExpr]): Unit =
     if (s > bestScore) { bestScore = s; bestSelected = set }
 
-  /** Append `e` (downstream score `s`) to the state and, for a generated
-    * feature, to its agent's subgroup; raise the current and best scores.
+  /** Candidate `e` with downstream score `s`: when `keep`, append it to the
+    * state and to its agent's subgroup (a replayed feature has none). A kept
+    * candidate, or any under random generation, may raise the best score.
     */
-  private def accept(e: FeatExpr, s: Double, agent: Option[Int]): Unit = {
-    selected += e
-    agent.filter(subgroups(_).size < cfg.maxSubgroup).foreach(subgroups(_) += e)
-    if (s > curScore) curScore = s
-    raiseBest(s, selected.toVector)
+  private def settle(e: FeatExpr, s: Double, keep: Boolean, agent: Option[Agent]): Unit = {
+    if (keep) { selected += e; agent.foreach(_.grow(e)) }
+    if (keep || method.randomGeneration) raiseBest(s, selected.toVector)
   }
 
   def run(): RunResult = {
     val tStart = System.nanoTime()
     baseScore = score(raws)
-    curScore = baseScore
     bestScore = baseScore
-    java.util.Arrays.fill(aPrevH, baseScore)
+    agents.foreach(_.pseudoScore = baseScore)
 
     for (epoch <- 0 until cfg.totalEpochs) {
       val stage1 = method.twoStage && epoch < cfg.stage1Epochs
@@ -248,57 +253,61 @@ final class Engine(
     */
   private def seedFromReplay(): Unit = {
     val pending = replay
-      .sortBy(-_._3)
-      .map(_._2)
+      .sortBy(-_._2)
+      .map(_._1)
       .filterNot(e => selected.exists(_.key == e.key))
       .distinctBy(_.key)
       .take(math.max(1, n * cfg.T / 4))
       .toSeq
-    val scores = evalBatch(pending)
+    val state  = selected.toVector
+    val scores = evalBatch(state, pending)
     pending.foreach { e =>
       val s = scores(e.key)
-      if (s > curScore && room(e)) accept(e, s, None)
+      settle(e, s, s > bestScore && room(e), None)
     }
   }
 
-  /** One epoch: T generate → pre-evaluate → evaluate rounds, then the policy update. */
+  /** One epoch: T rounds (stage-1 pretraining, or screening then downstream
+    * evaluation), then the policy update.
+    */
   private def runEpoch(stage1: Boolean): Unit = {
-    (0 until n).foreach { i =>
-      hidden(i) = agents(i).freshHidden
-      steps(i).clear()
-      rewards(i).clear()
-    }
+    agents.foreach(_.startEpoch())
     seen.clear()
     seen ++= selected.map(_.key) // the raw features and every accepted one
 
     for (t <- 0 until cfg.T) {
-      java.util.Arrays.fill(stepReward, 0.0)
-      evaluate(preEvaluate(generate(t, stage1), stage1))
-      (0 until n).foreach(i => rewards(i) += stepReward(i))
+      val candidates = generate(t, stage1)
+      val reward     = if (stage1) pretrain(candidates) else evaluate(screen(candidates))
+      agents.foreach(a => a.rewards += reward.getOrElse(a, 0.0))
     }
     update()
   }
 
   /** Every agent proposes one candidate; returns those within the order cap
-    * and, except under random generation, not yet seen this epoch.
+    * and, except under random generation, not yet seen this epoch. Random
+    * generation draws the operator and runs no policy.
     */
-  private def generate(t: Int, stage1: Boolean): Seq[(Int, FeatExpr)] = {
+  private def generate(t: Int, stage1: Boolean): Seq[(Agent, FeatExpr)] = {
     val tGen = System.nanoTime()
-    val proposals = (0 until n).map { i =>
-      val x = Array(
-        math.min(subgroups(i).size, 10) / 10.0,
-        if (stage1) aPrevH(i) else curScore,
-        rewards(i).lastOption.getOrElse(0.0) * 10.0,
-        (t + 1).toDouble / cfg.T,
-      )
-      val (hNew, probs) = agents(i).forward(x, hidden(i))
+    val proposals = agents.map { a =>
       val actionIdx =
-        if (method.randomGeneration) rng.nextInt(Ops.all.length) else agents(i).sample(probs, rng)
-      if (!method.randomGeneration) steps(i) += PolicyStep(x, hidden(i), actionIdx)
-      hidden(i) = hNew
-      val fa = subgroups(i)(rng.nextInt(subgroups(i).size))
-      val fb = subgroups(i)(rng.nextInt(subgroups(i).size))
-      (i, FeatExpr.derive(Ops.all(actionIdx), fa, fb))
+        if (method.randomGeneration) rng.nextInt(Ops.all.length)
+        else {
+          val x = Array(
+            math.min(a.subgroup.size, 10) / 10.0,
+            if (stage1) a.pseudoScore else bestScore,
+            a.rewards.lastOption.getOrElse(0.0) * 10.0,
+            (t + 1).toDouble / cfg.T,
+          )
+          val (hNew, probs) = a.policy.forward(x, a.hidden)
+          val action        = a.policy.sample(probs, rng)
+          a.steps += PolicyStep(x, a.hidden, action)
+          a.hidden = hNew
+          action
+        }
+      val fa = a.subgroup(rng.nextInt(a.subgroup.size))
+      val fb = a.subgroup(rng.nextInt(a.subgroup.size))
+      (a, FeatExpr.derive(Ops.all(actionIdx), fa, fb))
     }
     // FS_R skips dedup: random generation re-creates and re-evaluates
     // duplicates (Table IV's highest count).
@@ -311,68 +320,72 @@ final class Engine(
     valid
   }
 
-  /** Running FPE outputs on this run's generated features: the decision
-    * threshold adapts so the drop rate stays >0.5 on the *deployed*
-    * distribution (Section III-D), with the pre-trained tau as the floor
-    * for the first observations.
+  /** The FPE's p (Equ. 7) of each candidate and whether the FPE keeps it.
+    * The keep threshold adapts so the drop rate stays >0.5 on this run's
+    * *deployed* distribution (Section III-D): it is a quantile of the
+    * P(effective) of the candidates judged before this batch, with the
+    * pre-trained tau for the first observations.
     */
-  private def fpeThreshold: Double =
-    if (fpeProbs.size < 8) fpe.map(_.tau).getOrElse(0.5)
-    else {
-      val sorted = fpeProbs.toArray.sorted
-      sorted(math.min(sorted.length - 1,
-        math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
+  private def judge(candidates: Seq[(Agent, FeatExpr)]): Seq[(Agent, FeatExpr, Double, Boolean)] = {
+    val tPre = System.nanoTime()
+    val thr =
+      if (fpeProbs.size < 8) fpe.get.tau
+      else {
+        val sorted = fpeProbs.toArray.sorted
+        sorted(math.min(sorted.length - 1, math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
+      }
+    val judged = candidates.map { case (a, e) =>
+      val pBad = fpe.get.p(materialize(e))
+      (a, e, pBad, 1.0 - pBad >= thr)
     }
+    fpeProbs ++= judged.map(1.0 - _._3)
+    preEvaluated += candidates.size
+    preNanos += System.nanoTime() - tPre
+    judged
+  }
 
-  /** The candidates that go on to the downstream task: those the FPE keeps
-    * (none in stage 1, which rewards the pseudo-score chain instead), a
-    * random half under E-AFE_D, or all of them.
+  /** Stage 1 (Equ. 8–9): each agent's reward is the change of its FPE
+    * pseudo-score; a kept candidate joins the replay buffer and its agent's
+    * subgroup. No downstream evaluation.
     */
-  private def preEvaluate(valid: Seq[(Int, FeatExpr)], stage1: Boolean): Seq[(Int, FeatExpr)] =
-    if (method.usesFpe) {
-      val tPre   = System.nanoTime()
-      val scored = valid.map { case (i, e) => (i, e, fpe.get.p(materialize(e))) }
-      preEvaluated += valid.size
-      val thr = fpeThreshold // threshold from features seen BEFORE this batch
-      scored.foreach { case (_, _, pBad) => fpeProbs += 1.0 - pBad }
-      val kept = scored.filter { case (i, e, pBad) =>
-        val positive = (1.0 - pBad) >= thr
-        if (stage1) {
-          // Equ. 8–9: pseudo-score reward chain, no downstream task.
-          val aH = fpe.get.scoreFromP(pBad, baseScore)
-          stepReward(i) = aH - aPrevH(i)
-          aPrevH(i) = aH
-          if (positive) {
-            replay += ((i, e, 1.0 - pBad))
-            if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-          }
-        }
-        positive
-      }.map { case (i, e, _) => (i, e) }
-      preNanos += System.nanoTime() - tPre
-      if (stage1) Seq.empty else kept
-    } else if (method.randomDropout) valid.filter(_ => rng.nextDouble() < 0.5)
-    else valid
+  private def pretrain(candidates: Seq[(Agent, FeatExpr)]): Map[Agent, Double] =
+    judge(candidates).map { case (a, e, pBad, keep) =>
+      val aH     = fpe.get.scoreFromP(pBad, baseScore)
+      val reward = aH - a.pseudoScore
+      a.pseudoScore = aH
+      if (keep) { replay += ((e, 1.0 - pBad)); a.grow(e) }
+      a -> reward
+    }.toMap
 
-  /** Downstream evaluation of the round's survivors; each gain is its agent's step reward. */
-  private def evaluate(survivors: Seq[(Int, FeatExpr)]): Unit = {
-    val scores = evalBatch(survivors.map(_._2))
-    val anchor = curScore
-    survivors.foreach { case (i, e) =>
+  /** The candidates that go on to the downstream task: those the FPE keeps,
+    * a random half under E-AFE_D, or all of them.
+    */
+  private def screen(candidates: Seq[(Agent, FeatExpr)]): Seq[(Agent, FeatExpr)] =
+    if (method.usesFpe) judge(candidates).collect { case (a, e, _, true) => (a, e) }
+    else if (method.randomDropout) candidates.filter(_ => rng.nextDouble() < 0.5)
+    else candidates
+
+  /** Downstream evaluation of the round's survivors; each gain over the
+    * round's starting best score is its agent's reward. Random generation
+    * keeps everything (no performance gate): the polluted pool is what the
+    * selection stage must fix.
+    */
+  private def evaluate(survivors: Seq[(Agent, FeatExpr)]): Map[Agent, Double] = {
+    val state  = selected.toVector
+    val scores = evalBatch(state, survivors.map(_._2))
+    val anchor = bestScore
+    survivors.map { case (a, e) =>
       val s    = scores(e.key)
       val gain = s - anchor
-      stepReward(i) = gain
-      // Random generation keeps everything (no performance gate) — the
-      // polluted pool is what the selection stage must fix.
-      if ((method.randomGeneration || gain > 0) && room(e)) accept(e, s, Some(i))
-      else if (method.randomGeneration) raiseBest(s, selected.toVector)
-    }
+      settle(e, s, (method.randomGeneration || gain > 0) && room(e), Some(a))
+      a -> gain
+    }.toMap
   }
 
   /** Policy update (Equ. 10–12) from the epoch's rewards. */
   private def update(): Unit =
-    if (!method.randomGeneration) (0 until n).foreach { i =>
-      agents(i).update(steps(i).toSeq, method.returns.of(rewards(i).toSeq, cfg.gamma, cfg.lambda))
+    if (!method.randomGeneration) agents.foreach { a =>
+      a.policy.update(a.steps.toSeq, method.returns.of(a.rewards.toSeq, cfg.gamma, cfg.lambda))
     }
 
   /** AutoFS_R's RL subset selection over the generated pool; raw features are always kept. */
