@@ -206,13 +206,15 @@ final class Engine(
   private def raiseBest(s: Double, set: => Vector[FeatExpr]): Unit =
     if (s > bestScore) { bestScore = s; bestSelected = set }
 
-  /** Candidate `e` with downstream score `s`: when `keep`, append it to the
-    * state and to its agent's subgroup (a replayed feature has none). A kept
-    * candidate, or any under random generation, may raise the best score.
+  /** Candidate `e`, whose downstream score `s` is that of `state :+ e`: when
+    * `keep`, append it to the state and to its agent's subgroup (a replayed
+    * feature has none). A kept candidate, or any under random generation,
+    * may raise the best score, with `state :+ e` as the set that scored it.
     */
-  private def settle(e: FeatExpr, s: Double, keep: Boolean, agent: Option[Agent]): Unit = {
+  private def settle(state: Vector[FeatExpr], e: FeatExpr, s: Double, keep: Boolean,
+      agent: Option[Agent]): Unit = {
     if (keep) { selected += e; agent.foreach(_.grow(e)) }
-    if (keep || method.randomGeneration) raiseBest(s, selected.toVector)
+    if (keep || method.randomGeneration) raiseBest(s, state :+ e)
   }
 
   def run(): RunResult = {
@@ -263,7 +265,7 @@ final class Engine(
     val scores = evalBatch(state, pending)
     pending.foreach { e =>
       val s = scores(e.key)
-      settle(e, s, s > bestScore && room(e), None)
+      settle(state, e, s, s > bestScore && room(e), None)
     }
   }
 
@@ -377,7 +379,7 @@ final class Engine(
     survivors.map { case (a, e) =>
       val s    = scores(e.key)
       val gain = s - anchor
-      settle(e, s, (method.randomGeneration || gain > 0) && room(e), Some(a))
+      settle(state, e, s, (method.randomGeneration || gain > 0) && room(e), Some(a))
       a -> gain
     }.toMap
   }

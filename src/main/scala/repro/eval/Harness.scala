@@ -73,7 +73,7 @@ object Harness {
     * there are none): a run's selected features, re-materialized from its
     * cached keys.
     */
-  private def programs(d: TabularData, keys: Seq[String]): TabularData =
+  private[eval] def programs(d: TabularData, keys: Seq[String]): TabularData =
     if (keys.isEmpty) d
     else {
       val memo = mutable.Map.empty[String, Array[Double]]

@@ -1,7 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.MethodConfig
+import repro.core.{EngineSpec, Method, MethodConfig}
+import repro.ml.CrossVal
 
 class HarnessSpec extends SparkSpec {
 
@@ -26,6 +27,19 @@ class HarnessSpec extends SparkSpec {
     val r = Harness.runRl("credit-a", cfg, None, None)
     assert(r.dataset === "credit-a")
     assert(r.score >= r.baseScore && r.score <= 1.0)
+  }
+
+  test("every RL method reports the feature set whose CV gave its score (Airfoil)") {
+    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
+    Method.all.foreach { m =>
+      val cfg = MethodConfig(m.name)
+      val r   = Harness.runRl("Airfoil", cfg, Option.when(m.usesFpe)(EngineSpec.fpe), None)
+      // The run's evaluation rows, with its selected programs as the features.
+      val rows     = Harness.prepare("Airfoil").subsample(cfg.evalSampleCap, cfg.seed)
+      val rescored = CrossVal.forest(Harness.programs(rows, r.selectedKeys),
+        cfg.rfTrees, cfg.rfDepth, cfg.folds, cfg.seed)
+      assert(bits(rescored) === bits(r.score), s"${m.name}: reported ${r.score}, re-scored $rescored")
+    }
   }
 
   test("runDlN trains ResNet→RF on a pre-split and scores in [0,1]") {
