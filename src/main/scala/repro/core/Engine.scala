@@ -54,7 +54,6 @@ final case class MethodConfig(
     stage1Epochs: Int = 2,
     stage2Epochs: Int = 6,
     T: Int = 4,
-    folds: Int = 3,
     rfTrees: Int = 12,
     rfDepth: Int = 7,
     evalSampleCap: Int = 600,
@@ -63,6 +62,7 @@ final case class MethodConfig(
   val kind: Method = Method.byName(method)
 
   // Fixed for every method and run.
+  val folds: Int            = 3   // CV folds of a downstream evaluation
   val gamma: Double         = 0.9 // return discount γ
   val lambda: Double        = 0.8 // λ of the λ-returns
   val maxOrder: Int         = 5   // highest order of a generated program

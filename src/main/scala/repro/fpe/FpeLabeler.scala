@@ -10,9 +10,12 @@ import scala.util.Random
 /** Equ. 3 — label feature effectiveness on the public pre-training datasets.
   *
   * For dataset i with base score A₀ⁱ, feature j is labeled effective (1) iff
-  * removing it costs more than `thre`: A₀ⁱ − Aⱼⁱ > thre.
+  * removing it costs more than `Thre`: A₀ⁱ − Aⱼⁱ > Thre.
   */
 object FpeLabeler {
+
+  /** Equ. 3's threshold `thre`, which Equ. 8's reward mapping shares. */
+  val Thre: Double = 0.01
 
   /** One labeled training example for the Feature-Validness Task. */
   final case class LabeledFeature(
@@ -24,12 +27,12 @@ object FpeLabeler {
   ) extends Serializable
 
   final case class Config(
-      thre: Double = 0.01,
-      folds: Int = 3,
       rfTrees: Int = 8,
       rfDepth: Int = 6,
       seed: Long = 5L,
-  ) extends Serializable
+  ) extends Serializable {
+    val folds: Int = 3 // CV folds of every label's score
+  }
 
   /** `nGen` random generated candidates on d, some of order 2, drawn from
     * d's own RNG stream.
@@ -53,7 +56,7 @@ object FpeLabeler {
 
   /** The full FPE pre-training set: Equ. 3 leave-one-out labels of every raw
     * feature, then add-one-in labels of `genPerDataset` random *generated*
-    * candidates per dataset (label 1 iff score(D ∪ {f}) − score(D) > thre).
+    * candidates per dataset (label 1 iff score(D ∪ {f}) − score(D) > Thre).
     *
     * At deployment the FPE model judges generated features, whose value
     * distributions (products, ratios, sawtooth modulos, …) never occur among
@@ -90,7 +93,7 @@ object FpeLabeler {
         cfg.rfTrees, cfg.rfDepth, cfg.folds, cfg.seed)
     }).toMap
     def label(d: TabularData, j: Int, values: Array[Double], gain: Double) =
-      LabeledFeature(d.name, j, values, gain, if (gain > cfg.thre) 1 else 0)
+      LabeledFeature(d.name, j, values, gain, if (gain > Thre) 1 else 0)
     val loo = for ((d, i) <- ds.zipWithIndex; j <- 0 until d.nFeatures)
       yield label(d, j, d.column(j), score((i, -1)) - score.getOrElse((i, j), 0.0))
     val added = for ((d, i) <- ds.zipWithIndex; k <- 0 until genPerDataset)

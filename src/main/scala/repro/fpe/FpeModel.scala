@@ -66,7 +66,6 @@ object FpeModel {
       classifier: Classifier,
       variant: HashVariant,
       d: Int,
-      thre: Double,
       recall: Double,
       precision: Double,
       deltaAMax: Double,
@@ -74,6 +73,7 @@ object FpeModel {
       seed: Long,
       tau: Double = 0.5,
   ) extends Serializable {
+    val thre: Double = FpeLabeler.Thre
 
     /** P(feature effective) for a raw feature column of any length. */
     def probEffective(values: Array[Double]): Double =
@@ -99,7 +99,6 @@ object FpeModel {
       variants: Seq[HashVariant] = Seq(HashVariant.CCWS, HashVariant.ICWS,
         HashVariant.PCWS, HashVariant.LICWS),
       dims: Seq[Int] = Seq(16, 48),
-      thre: Double = 0.01,
       seed: Long = 11L,
   ): Trained = {
     require(labeled.nonEmpty, "no labeled features")
@@ -110,7 +109,7 @@ object FpeModel {
     require(trainSet.nonEmpty, "too few labeled features for a train/val split")
 
     val gains  = labeled.map(_.gain)
-    val dAMax  = math.max(gains.max, thre + 1e-3)
+    val dAMax  = math.max(gains.max, FpeLabeler.Thre + 1e-3)
     val dAMin  = math.min(gains.min, -1e-3)
 
     val candidates = for {
@@ -134,7 +133,7 @@ object FpeModel {
       val rec    = Metrics.recall(vaLab.toArray, vaPred.toArray, 1.0)
       val prec   = Metrics.precision(vaLab.toArray, vaPred.toArray, 1.0)
       val allPos = vaPred.forall(_ == 1.0)
-      Trained(clf, v, d, thre, rec, prec, dAMax, dAMin, seed, tau) -> allPos
+      Trained(clf, v, d, rec, prec, dAMax, dAMin, seed, tau) -> allPos
     }
     // Equ. 6 constraints: prefer non-degenerate (not all-positive) models with
     // Prec > 0; among them maximize recall, then precision.

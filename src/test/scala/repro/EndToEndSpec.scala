@@ -14,7 +14,7 @@ class EndToEndSpec extends SparkSpec {
 
   private lazy val fpe: FpeModel.Trained = {
     val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(8),
-      FpeLabeler.Config(folds = 3, rfTrees = 6, rfDepth = 5), genPerDataset = 6,
+      FpeLabeler.Config(rfTrees = 6, rfDepth = 5), genPerDataset = 6,
       spark = Some(spark))
     FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16, 48), seed = 1)
   }

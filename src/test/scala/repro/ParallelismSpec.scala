@@ -86,7 +86,7 @@ class ParallelismSpec extends SparkSpec {
   test("FPE labels without a Spark session are the same on any thread count") {
     assertSameEverywhere("labels")(
       FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
-        FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 2, spark = None)
+        FpeLabeler.Config(rfTrees = 5, rfDepth = 5), genPerDataset = 2, spark = None)
     )(_.flatMap(l => Seq(l.dataset, l.featureIdx, l.label, bits(l.gain)) ++ l.values.toSeq.map(bits)))
   }
 }

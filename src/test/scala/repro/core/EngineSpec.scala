@@ -163,7 +163,7 @@ object EngineSpec {
 
   lazy val fpe: FpeModel.Trained = {
     val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
+      FpeLabeler.Config(rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS), dims = Seq(16), seed = 1)
   }
 

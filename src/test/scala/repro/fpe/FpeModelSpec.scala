@@ -42,7 +42,7 @@ class FpeModelSpec extends SparkSpec {
 
   test("trainBest runs Algorithm 1's grid and returns the recall maximizer") {
     val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(6),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
+      FpeLabeler.Config(rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     val trained = FpeModel.trainBest(labeled, dims = Seq(8, 16), seed = 2)
     assert(Seq(8, 16).contains(trained.d))
     assert(trained.recall >= 0.0 && trained.recall <= 1.0)
@@ -52,7 +52,7 @@ class FpeModelSpec extends SparkSpec {
 
   test("trained model pre-evaluates arbitrary-length features") {
     val labeled = FpeLabeler.labelAllWithGenerated(DatasetRegistry.publicPretrain(4),
-      FpeLabeler.Config(folds = 3, rfTrees = 5, rfDepth = 5), genPerDataset = 0)
+      FpeLabeler.Config(rfTrees = 5, rfDepth = 5), genPerDataset = 0)
     val trained = FpeModel.trainBest(labeled, variants = Seq(HashVariant.CCWS),
       dims = Seq(8), seed = 3)
     val short = Array.fill(30)(rng.nextGaussian())
@@ -67,7 +67,7 @@ class FpeModelSpec extends SparkSpec {
 
   test("Equ. 8 reward mapping: confident-good features score above A^O") {
     val t = FpeModel.Trained(new FpeModel.Classifier(Array(0.0), 0.0),
-      HashVariant.CCWS, 1, thre = 0.01, recall = 1, precision = 1,
+      HashVariant.CCWS, 1, recall = 1, precision = 1,
       deltaAMax = 0.2, deltaAMin = -0.15, seed = 1)
     val aO = 0.7
     assert(t.scoreFromP(0.0, aO) === aO + (0.2 - 0.01))   // p=0 → max boost
@@ -77,7 +77,7 @@ class FpeModelSpec extends SparkSpec {
 
   test("Equ. 8 is monotonically decreasing in p") {
     val t = FpeModel.Trained(new FpeModel.Classifier(Array(0.0), 0.0),
-      HashVariant.CCWS, 1, thre = 0.01, recall = 1, precision = 1,
+      HashVariant.CCWS, 1, recall = 1, precision = 1,
       deltaAMax = 0.2, deltaAMin = -0.15, seed = 1)
     val ps = Seq(0.0, 0.2, 0.4, 0.49, 0.5, 0.6, 0.8, 1.0)
     val scores = ps.map(t.scoreFromP(_, 0.5))
