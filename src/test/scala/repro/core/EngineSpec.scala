@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.ParallelismSpec.bits
 import repro.SparkSpec
 import repro.data.{DatasetRegistry, SyntheticTabular}
 import repro.fpe.{FpeLabeler, FpeModel}
@@ -87,7 +88,6 @@ class EngineSpec extends SparkSpec {
   }
 
   test("NFS and E-AFE reproduce their pinned runs on the regression fixture") {
-    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
     val nfsBest  = 0.05705868585216737
     val eafeBest = 0.04353354743088652
     // (method, evaluated, generated, curve, score); the raw features score 0.0

@@ -1,5 +1,6 @@
 package repro.eval
 
+import repro.ParallelismSpec.bits
 import repro.SparkSpec
 import repro.core.{EngineSpec, Method, MethodConfig}
 import repro.ml.CrossVal
@@ -30,7 +31,6 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("every RL method reports the feature set whose CV gave its score (Airfoil)") {
-    def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
     Method.all.foreach { m =>
       val cfg = MethodConfig(m.name)
       val r   = Harness.runRl("Airfoil", cfg, Option.when(m.usesFpe)(EngineSpec.fpe), None)
