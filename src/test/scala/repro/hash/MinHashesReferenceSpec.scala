@@ -40,6 +40,28 @@ class MinHashesReferenceSpec extends AnyFunSuite {
     assert(cases === Columns * HashVariant.all.size)
   }
 
+  test("each weighted variant's margin-shrunk bound is below its exact score") {
+    // The loops skip a row when lo ≥ best·w (ICWS family) or lo ≥ best
+    // (CCWS). lo strictly below s·w (or s) means a skipped row has s ≥ best.
+    val rng = new Random(5)
+    for (seed <- Seq(7L, 11L, rng.nextLong()); d <- Dims) {
+      val t   = MinHashes.draws(seed, d, 200)
+      val ref = new Reference(seed, d, 200)
+      for (k <- 0 until d; i <- 0 until 200) {
+        val j = k * t.rows + i
+        for (w <- Seq(1e-6, 1.0, 1e-6 + rng.nextDouble() * (1 - 1e-6), math.exp(rng.nextDouble() * math.log(1e-6)))) {
+          def s(v: HashVariant) = ref.score(v, k, i, w, math.log(w))
+          val cases = Seq(
+            HashVariant.ICWS  -> (t.icwsLo(j), s(HashVariant.ICWS) * w),
+            HashVariant.LICWS -> (t.licwsLo(j), s(HashVariant.LICWS) * w),
+            HashVariant.PCWS  -> (t.pcwsLo(j), s(HashVariant.PCWS) * w),
+            HashVariant.CCWS  -> (t.ccwsLo(j), s(HashVariant.CCWS)))
+          for ((v, (lo, exact)) <- cases)
+            assert(lo < exact, s"${v.name} seed $seed d$d k$k i$i w=$w")
+        }
+      }
+    }
+  }
 }
 
 object MinHashesReferenceSpec {
