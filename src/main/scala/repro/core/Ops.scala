@@ -6,7 +6,8 @@ package repro.core
   *
   * Every operator has a local Array[Double] implementation, used by the RL
   * loop and every table, and an equivalent DuckDB SQL form that tests check
-  * the local one against.
+  * the local one against. The local forms are primitive loops, so no element
+  * is boxed.
   * Guards (log of |x|+1, zero-divisor → 0, …) follow standard AFE practice —
   * transformations must be total on arbitrary real columns.
   */
@@ -21,22 +22,40 @@ object Ops {
   private val Eps = 1e-9
 
   case object Log extends Op("log", isUnary = true) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      a.map(v => math.log1p(math.abs(v)))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = math.log1p(math.abs(a(i))); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String = s"ln(1.0 + abs($ea))"
   }
 
   case object Sqrt extends Op("sqrt", isUnary = true) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      a.map(v => math.sqrt(math.abs(v)))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = math.sqrt(math.abs(a(i))); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String = s"sqrt(abs($ea))"
   }
 
   case object MinMax extends Op("mmn", isUnary = true) {
     override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
-      var lo = a(0); var hi = a(0)
-      a.foreach { v => if (v < lo) lo = v; if (v > hi) hi = v }
-      if (hi - lo < Eps) a.map(_ => 0.0) else a.map(v => (v - lo) / (hi - lo))
+      val out = new Array[Double](a.length)
+      var lo  = a(0); var hi = a(0)
+      var i   = 1
+      while (i < a.length) {
+        if (a(i) < lo) lo = a(i)
+        if (a(i) > hi) hi = a(i)
+        i += 1
+      }
+      if (!(hi - lo < Eps)) {
+        i = 0
+        while (i < a.length) { out(i) = (a(i) - lo) / (hi - lo); i += 1 }
+      }
+      out
     }
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN max($ea) OVER () - min($ea) OVER () < $Eps THEN 0.0 " +
@@ -44,33 +63,53 @@ object Ops {
   }
 
   case object Recip extends Op("recip", isUnary = true) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      a.map(v => if (math.abs(v) < Eps) 0.0 else 1.0 / v)
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = if (math.abs(a(i)) < Eps) 0.0 else 1.0 / a(i); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($ea) < $Eps THEN 0.0 ELSE 1.0 / $ea END)"
   }
 
   case object Add extends Op("add", isUnary = false) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => a(i) + b(i))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = a(i) + b(i); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String = s"($ea + $eb)"
   }
 
   case object Sub extends Op("sub", isUnary = false) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => a(i) - b(i))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = a(i) - b(i); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String = s"($ea - $eb)"
   }
 
   case object Mul extends Op("mul", isUnary = false) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => a(i) * b(i))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = a(i) * b(i); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String = s"($ea * $eb)"
   }
 
   case object Div extends Op("div", isUnary = false) {
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i => if (math.abs(b(i)) < Eps) 0.0 else a(i) / b(i))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) { out(i) = if (math.abs(b(i)) < Eps) 0.0 else a(i) / b(i); i += 1 }
+      out
+    }
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($eb) < $Eps THEN 0.0 ELSE $ea / $eb END)"
   }
@@ -79,9 +118,15 @@ object Ops {
     // Floored modulo a − ⌊a/b⌋·b: expressible with identical IEEE primitives
     // in local math and DuckDB (Java %, C fmod and SQL engines disagree on
     // sign conventions; this form does not).
-    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] =
-      Array.tabulate(a.length)(i =>
-        if (math.abs(b(i)) < Eps) 0.0 else a(i) - math.floor(a(i) / b(i)) * b(i))
+    override def applyLocal(a: Array[Double], b: Array[Double]): Array[Double] = {
+      val out = new Array[Double](a.length)
+      var i   = 0
+      while (i < a.length) {
+        out(i) = if (math.abs(b(i)) < Eps) 0.0 else a(i) - math.floor(a(i) / b(i)) * b(i)
+        i += 1
+      }
+      out
+    }
     override def duckSql(ea: String, eb: String): String =
       s"(CASE WHEN abs($eb) < $Eps THEN 0.0 ELSE $ea - floor($ea / $eb) * $eb END)"
   }
