@@ -130,6 +130,27 @@ final class Engine(
     def grow(e: FeatExpr): Unit = if (subgroup.size < cfg.maxSubgroup) subgroup += e
   }
 
+  /** Doubles kept ascending in `Double`'s total order, the order `sorted`
+    * gives. `add` sorts a batch and merges it in from the top, so the
+    * history is never re-sorted.
+    */
+  private final class SortedDoubles {
+    private var xs = new Array[Double](64)
+    var size       = 0
+    def apply(i: Int): Double = xs(i)
+    def add(batch: Array[Double]): Unit = {
+      java.util.Arrays.sort(batch)
+      if (xs.length < size + batch.length) xs = java.util.Arrays.copyOf(xs, 2 * (size + batch.length))
+      var i = size - 1; var j = batch.length - 1; var k = size + batch.length - 1
+      while (j >= 0) {
+        if (i >= 0 && java.lang.Double.compare(xs(i), batch(j)) > 0) { xs(k) = xs(i); i -= 1 }
+        else { xs(k) = batch(j); j -= 1 }
+        k -= 1
+      }
+      size += batch.length
+    }
+  }
+
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
   private val memo     = mutable.Map.empty[String, Array[Double]]
   private val scoreCache = mutable.Map.empty[String, Double]
@@ -149,7 +170,8 @@ final class Engine(
   private var baseScore    = 0.0
   private var bestScore    = 0.0
   private var bestSelected = selected.toVector
-  private val fpeProbs = mutable.ArrayBuffer.empty[Double]
+  // Every P(effective) the FPE has given this run, for the keep threshold.
+  private val judgedProbs = new SortedDoubles
 
   // Effort and time accounting (Tables I, IV, VI): candidates generated, FPE
   // inferences, downstream (RF CV) evaluations, and the nanos of each phase.
@@ -331,16 +353,16 @@ final class Engine(
   private def judge(candidates: Seq[(Agent, FeatExpr)]): Seq[(Agent, FeatExpr, Double, Boolean)] = {
     val tPre = System.nanoTime()
     val thr =
-      if (fpeProbs.size < 8) fpe.get.tau
+      if (judgedProbs.size < 8) fpe.get.tau
       else {
-        val sorted = fpeProbs.toArray.sorted
-        sorted(math.min(sorted.length - 1, math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
+        val m = judgedProbs.size
+        judgedProbs(math.min(m - 1, math.max(0, math.ceil(m * 0.62).toInt - 1)))
       }
     val judged = candidates.map { case (a, e) =>
       val pBad = fpe.get.p(materialize(e))
       (a, e, pBad, 1.0 - pBad >= thr)
     }
-    fpeProbs ++= judged.map(1.0 - _._3)
+    judgedProbs.add(judged.iterator.map(1.0 - _._3).toArray)
     preEvaluated += candidates.size
     preNanos += System.nanoTime() - tPre
     judged
