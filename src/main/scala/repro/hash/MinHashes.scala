@@ -250,29 +250,32 @@ object MinHashes {
     */
   private def argminRows(w: Array[Double], d: Int, variant: HashVariant, seed: Long): Array[Int] = {
     require(d > 0, "signature dimension must be positive")
-    val t    = draws(seed, d, w.length)
+    val t = draws(seed, d, w.length)
+    variant match {
+      case HashVariant.Plain => perDimension(d)(t.plainRow(_, w.length))
+      case HashVariant.CCWS  => perDimension(d)(t.ccwsRow(_, w))
+      case HashVariant.ICWS  => val lw = logs(w); perDimension(d)(t.icwsRow(_, w, lw))
+      case HashVariant.LICWS => val lw = logs(w); perDimension(d)(t.licwsRow(_, w, lw))
+      case HashVariant.PCWS  => val lw = logs(w); perDimension(d)(t.pcwsRow(_, w, lw))
+    }
+  }
+
+  /** `row(k)` for each dimension k < d. */
+  private def perDimension(d: Int)(row: Int => Int): Array[Int] = {
     val rows = new Array[Int](d)
-    // The ICWS family takes ln w once per row, not once per (dimension, row).
-    val lw = variant match {
-      case HashVariant.ICWS | HashVariant.LICWS | HashVariant.PCWS =>
-        val a = new Array[Double](w.length)
-        var i = 0
-        while (i < a.length) { a(i) = math.log(w(i)); i += 1 }
-        a
-      case _ => null
-    }
-    var k = 0
-    while (k < d) {
-      rows(k) = variant match {
-        case HashVariant.Plain => t.plainRow(k, w.length)
-        case HashVariant.CCWS  => t.ccwsRow(k, w)
-        case HashVariant.ICWS  => t.icwsRow(k, w, lw)
-        case HashVariant.LICWS => t.licwsRow(k, w, lw)
-        case HashVariant.PCWS  => t.pcwsRow(k, w, lw)
-      }
-      k += 1
-    }
+    var k    = 0
+    while (k < d) { rows(k) = row(k); k += 1 }
     rows
+  }
+
+  /** ln w per row: the ICWS family takes it once per row, not once per
+    * (dimension, row).
+    */
+  private def logs(w: Array[Double]): Array[Double] = {
+    val lw = new Array[Double](w.length)
+    var i  = 0
+    while (i < lw.length) { lw(i) = math.log(w(i)); i += 1 }
+    lw
   }
 
   /** Selected row index for each of the d signature dimensions. */
