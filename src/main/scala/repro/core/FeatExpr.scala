@@ -11,17 +11,14 @@ sealed trait FeatExpr extends Serializable {
   def order: Int
   /** Canonical structural key (dedup + memoization). */
   def key: String
-  /** All raw feature indices referenced. */
-  def rawIdx: Set[Int]
   /** Evaluate against column-major raw data, memoizing by key. */
   def evalLocal(cols: Array[Array[Double]],
                 memo: mutable.Map[String, Array[Double]]): Array[Double]
 }
 
 final case class Raw(idx: Int) extends FeatExpr {
-  override val order: Int      = 0
-  override val key: String     = s"f$idx"
-  override def rawIdx: Set[Int] = Set(idx)
+  override val order: Int  = 0
+  override val key: String = s"f$idx"
   override def evalLocal(cols: Array[Array[Double]],
                          memo: mutable.Map[String, Array[Double]]): Array[Double] = cols(idx)
 }
@@ -30,7 +27,6 @@ final case class Derived(op: Op, a: FeatExpr, b: FeatExpr) extends FeatExpr {
   override val order: Int = math.max(a.order, b.order) + 1
   override val key: String =
     if (op.isUnary) s"${op.name}(${a.key})" else s"${op.name}(${a.key},${b.key})"
-  override def rawIdx: Set[Int] = if (op.isUnary) a.rawIdx else a.rawIdx ++ b.rawIdx
   override def evalLocal(cols: Array[Array[Double]],
                          memo: mutable.Map[String, Array[Double]]): Array[Double] =
     memo.getOrElseUpdate(key, {

@@ -20,9 +20,12 @@ import java.util.concurrent.ConcurrentHashMap
   *    uniform).
   *  - CCWS   — Wu et al. 2016 canonical CWS (works on raw, not log, weights).
   *
-  * Each weighted variant's argmin skips the rows that a lower bound on the
-  * score already rules out (see `Draws`), so only a few rows per dimension
-  * pay for the exact score; the selected rows are the unpruned loop's.
+  * Three argmin loops serve the five variants (see `Draws`): Plain, CCWS,
+  * and one for ICWS, LICWS and PCWS, which score a row with the same formula
+  * and differ only in its numerator. Each weighted loop skips the rows that
+  * a lower bound on the score already rules out, so only a few rows per
+  * dimension pay for the exact score; the selected rows are the unpruned
+  * loop's.
   *
   * Signatures are returned **sorted ascending** so the FPE classifier input is
   * permutation-invariant — the signature then acts as a quantile-style sketch
@@ -101,8 +104,11 @@ object MinHashes {
     * Each `*Row` method returns dimension k's argmin row over the rows of
     * `w`: the first on ties, row 0 if no score is below `Double.MaxValue`.
     * Each score keeps the operations of the published formula in their
-    * order, so the argmin is that formula's. One method per variant keeps
-    * each hot loop's JIT profile to its own variant.
+    * order, so the argmin is that formula's. There are three loops: Plain,
+    * CCWS and the ICWS family. The family's loop takes the variant's
+    * numerator and bound tables as arguments and has no branch on the
+    * variant; LICWS's numerator is a table of ones, and 1.0 / x and
+    * ones(j) / x are the same bits.
     *
     * Each weighted loop first tests a lower bound on the row's score and
     * computes the exact score only if the bound does not rule the row out:
@@ -118,9 +124,9 @@ object MinHashes {
     *
     * A skipped row has s ≥ best, so under the strict `<` it could not have
     * replaced the best and the argmin is the unpruned loop's. A NaN weight
-    * makes the comparison false, so its row is never skipped. The four bound
-    * tables add 4·8·d·rows bytes per (seed, d) to the six draw tables (2/3
-    * more: 0.5 MB at d = 16 and 1000 rows).
+    * makes the comparison false, so its row is never skipped. A (seed, d)
+    * holds 11 tables of 8·d·rows bytes: the six draws, the ones and the four
+    * bounds (1.4 MB at d = 16 and 1000 rows).
     */
   private[hash] final class Draws(seed: Long, d: Int, val rows: Int) {
     private def table(f: (Int, Int) => Double): Array[Double] = {
@@ -128,17 +134,19 @@ object MinHashes {
       for (k <- 0 until d; i <- 0 until rows) a(k * rows + i) = f(k, i)
       a
     }
-    private val plain   = table(uniform(seed, _, _, 1))
-    private val r       = table(gamma2(seed, _, _, 11))
-    private val expR    = r.map(math.exp)
-    private val c       = table(gamma2(seed, _, _, 13))
-    private val beta    = table(uniform(seed, _, _, 17))
-    private val negLogX = table((k, i) => -math.log(uniform(seed, k, i, 19)))
+    private val plain         = table(uniform(seed, _, _, 1))
+    private val r             = table(gamma2(seed, _, _, 11))
+    private val expR          = r.map(math.exp)
+    private[hash] val c       = table(gamma2(seed, _, _, 13))
+    private val beta          = table(uniform(seed, _, _, 17))
+    private[hash] val negLogX = table((k, i) => -math.log(uniform(seed, k, i, 19)))
+    private[hash] val ones    = Array.fill(d * rows)(1.0)
 
     private def bound(f: Int => Double): Array[Double] = table((k, i) => Margin * f(k * rows + i))
-    private[hash] val icwsLo  = bound(j => c(j) / expR(j))
-    private[hash] val licwsLo = bound(j => 1.0 / expR(j))
-    private[hash] val pcwsLo  = bound(j => negLogX(j) / expR(j))
+    private def icwsBound(num: Array[Double]): Array[Double] = bound(j => num(j) / expR(j))
+    private[hash] val icwsLo  = icwsBound(c)
+    private[hash] val licwsLo = icwsBound(ones)
+    private[hash] val pcwsLo  = icwsBound(negLogX)
     private[hash] val ccwsLo  = bound(j => c(j) / (math.max(1.0, r(j)) + r(j) + 1e-12))
 
     def plainRow(k: Int, m: Int): Int = {
@@ -154,56 +162,21 @@ object MinHashes {
       bestRow
     }
 
-    /** ICWS's y at entry j for log weight `lw`. */
-    private def y(j: Int, lw: Double): Double = {
-      val rk = r(j); val b = beta(j)
-      math.exp(rk * (math.floor(lw / rk + b) - b))
-    }
-
-    /** ICWS on weights `w` with logs `lw`. */
-    def icwsRow(k: Int, w: Array[Double], lw: Array[Double]): Int = {
+    /** The ICWS family on weights `w` with logs `lw`: s = num / (y·e^r) with
+      * y = exp(r(⌊lw / r + β⌋ − β)), numerator table `num` (`c`, `ones` or
+      * `negLogX`) and its bound table `lo`.
+      */
+    def icwsRow(k: Int, num: Array[Double], lo: Array[Double], w: Array[Double], lw: Array[Double]): Int = {
       val o       = k * rows
       var bestRow = 0
       var best    = Double.MaxValue
       var i       = 0
       while (i < w.length) {
         val j = o + i
-        if (!(icwsLo(j) >= best * w(i))) {
-          val s = c(j) / (y(j, lw(i)) * expR(j))
-          if (s < best) { best = s; bestRow = i }
-        }
-        i += 1
-      }
-      bestRow
-    }
-
-    /** 0-bit CWS: ICWS with the c draw dropped. */
-    def licwsRow(k: Int, w: Array[Double], lw: Array[Double]): Int = {
-      val o       = k * rows
-      var bestRow = 0
-      var best    = Double.MaxValue
-      var i       = 0
-      while (i < w.length) {
-        val j = o + i
-        if (!(licwsLo(j) >= best * w(i))) {
-          val s = 1.0 / (y(j, lw(i)) * expR(j))
-          if (s < best) { best = s; bestRow = i }
-        }
-        i += 1
-      }
-      bestRow
-    }
-
-    /** PCWS: one gamma replaced by a uniform draw. */
-    def pcwsRow(k: Int, w: Array[Double], lw: Array[Double]): Int = {
-      val o       = k * rows
-      var bestRow = 0
-      var best    = Double.MaxValue
-      var i       = 0
-      while (i < w.length) {
-        val j = o + i
-        if (!(pcwsLo(j) >= best * w(i))) {
-          val s = negLogX(j) / (y(j, lw(i)) * expR(j))
+        if (!(lo(j) >= best * w(i))) {
+          val rk = r(j); val b = beta(j)
+          val y  = math.exp(rk * (math.floor(lw(i) / rk + b) - b))
+          val s  = num(j) / (y * expR(j))
           if (s < best) { best = s; bestRow = i }
         }
         i += 1
@@ -251,12 +224,16 @@ object MinHashes {
   private def argminRows(w: Array[Double], d: Int, variant: HashVariant, seed: Long): Array[Int] = {
     require(d > 0, "signature dimension must be positive")
     val t = draws(seed, d, w.length)
+    def icws(num: Array[Double], lo: Array[Double]) = {
+      val lw = logs(w)
+      perDimension(d)(t.icwsRow(_, num, lo, w, lw))
+    }
     variant match {
       case HashVariant.Plain => perDimension(d)(t.plainRow(_, w.length))
       case HashVariant.CCWS  => perDimension(d)(t.ccwsRow(_, w))
-      case HashVariant.ICWS  => val lw = logs(w); perDimension(d)(t.icwsRow(_, w, lw))
-      case HashVariant.LICWS => val lw = logs(w); perDimension(d)(t.licwsRow(_, w, lw))
-      case HashVariant.PCWS  => val lw = logs(w); perDimension(d)(t.pcwsRow(_, w, lw))
+      case HashVariant.ICWS  => icws(t.c, t.icwsLo)
+      case HashVariant.LICWS => icws(t.ones, t.licwsLo)
+      case HashVariant.PCWS  => icws(t.negLogX, t.pcwsLo)
     }
   }
 
@@ -279,7 +256,7 @@ object MinHashes {
   }
 
   /** Selected row index for each of the d signature dimensions. */
-  def selectedRows(
+  private[hash] def selectedRows(
       values: Array[Double], d: Int, variant: HashVariant, seed: Long = 7L): Array[Int] =
     argminRows(normalize(values), d, variant, seed)
 
@@ -298,11 +275,5 @@ object MinHashes {
     // the rest, so NaNs with different bits keep the order `sorted` gave.
     java.util.Arrays.sort(sig)
     sig
-  }
-
-  /** Jaccard-style similarity of two signatures (mean agreement within tol). */
-  def signatureSimilarity(a: Array[Double], b: Array[Double], tol: Double = 0.05): Double = {
-    require(a.length == b.length && a.nonEmpty, "signature length mismatch")
-    a.zip(b).count { case (x, y) => math.abs(x - y) <= tol }.toDouble / a.length
   }
 }

@@ -17,7 +17,6 @@ final class RandomForest(
     val classification: Boolean,
     val nTrees: Int = 10,
     val maxDepth: Int = 7,
-    val minLeaf: Int = 2,
     val seed: Long = 42L,
 ) extends Learner {
 
@@ -35,7 +34,7 @@ final class RandomForest(
     val trees = FanOut.local(seeds) { treeSeed =>
       val bootRng = new Random(treeSeed ^ 0x9e3779b97f4a7c15L)
       val rows    = Array.fill(x.length)(bootRng.nextInt(x.length))
-      new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).grow(data, rows)
+      new DecisionTree(classification, maxDepth, featureSubset = subset, seed = treeSeed).grow(data, rows)
     }.toArray
     // Summed in tree order, so the floating-point result does not depend on
     // which tree finished first.

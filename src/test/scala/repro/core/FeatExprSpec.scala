@@ -50,12 +50,6 @@ class FeatExprSpec extends SparkSpec {
   test("unary derive ignores the second operand") {
     val e = FeatExpr.derive(Ops.Sqrt, Raw(0), Raw(1))
     assert(e.key === "sqrt(f0)")
-    assert(e.rawIdx === Set(0))
-  }
-
-  test("rawIdx collects all referenced raw features") {
-    val e = FeatExpr.derive(Ops.Div, FeatExpr.derive(Ops.Add, Raw(0), Raw(1)), Raw(2))
-    assert(e.rawIdx === Set(0, 1, 2))
   }
 
   test("memoization reuses computed sub-expressions") {

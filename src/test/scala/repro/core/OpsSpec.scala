@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import scala.util.Random
 
@@ -81,6 +83,39 @@ class OpsSpec extends SparkSpec {
   test("mod is floored modulo (result has the divisor's sign)") {
     assert(Ops.Mod.applyLocal(Array(-7.0), Array(3.0))(0) === 2.0)
     assert(Ops.Mod.applyLocal(Array(7.0), Array(-3.0))(0) === -2.0)
+  }
+
+  /** 300 scalacheck-generated (a, b) column pairs of equal length 1–40. */
+  private def columnPairs(value: Gen[Double]): Seq[(Array[Double], Array[Double])] = {
+    val pair = for {
+      n <- Gen.choose(1, 40)
+      a <- Gen.listOfN(n, value)
+      b <- Gen.listOfN(n, value)
+    } yield (a.toArray, b.toArray)
+    (0 until 300).map(i => pair.pureApply(Gen.Parameters.default, Seed(i.toLong)))
+  }
+
+  test("every op maps finite inputs with |x| <= 1e150 to finite outputs (scalacheck-generated)") {
+    // Uniform over the range, log-uniform magnitudes down to subnormals, and
+    // the guards' edges (zeros, the 1e-9 divisor threshold, the range ends).
+    val logUniform = for {
+      e   <- Gen.choose(-320.0, 150.0)
+      neg <- Gen.oneOf(true, false)
+    } yield { val x = math.min(math.pow(10, e), 1e150); if (neg) -x else x }
+    val edges = Gen.oneOf(0.0, -0.0, 1e-9, -1e-9, 1.0000001e-9, Double.MinPositiveValue, 1e150, -1e150)
+    val value = Gen.frequency(2 -> Gen.chooseNum(-1e150, 1e150), 2 -> logUniform, 1 -> edges)
+    for ((a, b) <- columnPairs(value); op <- Ops.all) {
+      val out = op.applyLocal(a, b)
+      assert(out.forall(x => !x.isNaN && !x.isInfinite),
+        s"${op.name} on a=${a.mkString(",")} b=${b.mkString(",")}: ${out.mkString(",")}")
+    }
+  }
+
+  test("every op keeps the length and throws nothing on NaN, ±Inf and -0.0 (scalacheck-generated)") {
+    val special = Gen.oneOf(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.0)
+    val value   = Gen.frequency(1 -> special, 1 -> Gen.chooseNum(-1e6, 1e6))
+    for ((a, b) <- columnPairs(value); op <- Ops.all)
+      assert(op.applyLocal(a, b).length === a.length, s"${op.name} on a=${a.mkString(",")} b=${b.mkString(",")}")
   }
 
   test("action space is the paper's 4 unary + 5 binary operators") {

@@ -65,8 +65,11 @@ class MinHashesSpec extends SparkSpec {
     val sBase  = MinHashes.signature(base, d, HashVariant.Plain)
     val sClose = MinHashes.signature(close, d, HashVariant.Plain)
     val sFar   = MinHashes.signature(far, d, HashVariant.Plain)
-    val simClose = MinHashes.signatureSimilarity(sBase, sClose)
-    val simFar   = MinHashes.signatureSimilarity(sBase, sFar)
+    // Share of dimensions that agree within 0.05.
+    def similarity(a: Array[Double], b: Array[Double]) =
+      a.indices.count(k => math.abs(a(k) - b(k)) <= 0.05).toDouble / d
+    val simClose = similarity(sBase, sClose)
+    val simFar   = similarity(sBase, sFar)
     assert(simClose > simFar, s"close=$simClose far=$simFar")
     assert(simClose > 0.8)
   }
@@ -112,12 +115,6 @@ class MinHashesSpec extends SparkSpec {
     val v = Array(1.0, 2.0, 3.0)
     val s = MinHashes.signature(v, 16, HashVariant.CCWS)
     assert(s.length === 16)
-  }
-
-  test("signatureSimilarity bounds and self-similarity") {
-    val v = Array.fill(50)(rng.nextGaussian())
-    val s = MinHashes.signature(v, 16, HashVariant.ICWS)
-    assert(MinHashes.signatureSimilarity(s, s) === 1.0)
   }
 
   test("byName round-trips every variant") {
