@@ -114,6 +114,9 @@ final class Engine(
 ) {
   private val method = cfg.kind
   require(!method.usesFpe || fpe.isDefined, s"${cfg.method} requires a trained FPE model")
+  // `RunResult.hashVariant` reports the config's variant; the signatures use the model's.
+  require(!method.usesFpe || fpe.get.variant.name == cfg.hashVariant,
+    s"${cfg.method} is set to hash variant ${cfg.hashVariant} but its FPE model uses ${fpe.get.variant.name}")
 
   /** Original feature `raw`'s agent: its policy and operand subgroup, the
     * current epoch's trajectory, and its stage-1 pseudo-score (Equ. 8–9).

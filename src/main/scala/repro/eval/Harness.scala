@@ -52,15 +52,13 @@ object Harness {
 
   // --- DL baselines (RTDL_N, FE|DL, DL|FE) ---------------------------------
 
-  private def split(d: TabularData, seed: Long): (Array[Int], Array[Int], Array[Int]) = {
-    val rng     = new Random(seed)
-    val idx     = rng.shuffle(d.y.indices.toList).toArray
-    val nTrain  = math.max(1, (idx.length * 0.6).toInt)
-    val nVal    = math.max(1, (idx.length * 0.2).toInt)
-    val train   = idx.take(nTrain)
-    val valSet  = idx.slice(nTrain, nTrain + nVal)
-    val test    = idx.drop(nTrain + nVal)
-    (train, valSet, if (test.isEmpty) valSet else test)
+  private def split(d: TabularData, seed: Long): (Array[Int], Array[Int]) = {
+    val rng    = new Random(seed)
+    val idx    = rng.shuffle(d.y.indices.toList).toArray
+    val nTrain = math.max(1, (idx.length * 0.6).toInt)
+    val nVal   = math.max(1, (idx.length * 0.2).toInt)
+    val test   = idx.drop(nTrain + nVal)
+    (idx.take(nTrain), if (test.isEmpty) idx.slice(nTrain, nTrain + nVal) else test)
   }
 
   /** DL baselines consume the RAW dataset (up to 64 features, no RF-importance
@@ -87,7 +85,7 @@ object Harness {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
     val x  = d.rows
-    val (train, _, test) = split(d, seed)
+    val (train, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     val featTrain = train.map(i => net.features(x(i)))
     val featTest  = test.map(i => net.features(x(i)))
@@ -103,7 +101,7 @@ object Harness {
     val t0 = System.nanoTime()
     val d  = prepare(name)
     val x  = programs(d, selectedKeys).rows
-    val (train, _, test) = split(d, seed)
+    val (train, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     val score =
       Metrics.paper(d.classification, test.map(d.y), test.map(i => net.predict(x(i))))
@@ -118,7 +116,7 @@ object Harness {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
     val x  = d.rows
-    val (train, _, _) = split(d, seed)
+    val (train, _) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed).train(train.map(x), train.map(d.y))
     // Deep features only on rows the net did NOT train on — CV over memorized
     // training rows would leak and inflate the DL|FE column.

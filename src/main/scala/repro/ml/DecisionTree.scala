@@ -20,7 +20,6 @@ import scala.util.Random
 final class DecisionTree(
     val classification: Boolean,
     val maxDepth: Int = 7,
-    val minLeaf: Int = 2,
     val featureSubset: Int => Int = p => p,
     val seed: Long = 17L,
 ) extends Learner {
@@ -55,6 +54,9 @@ final class DecisionTree(
     private val k      = data.classes.length
     private val left   = new Array[Int](k)
     private val right  = new Array[Int](k)
+    private val total  = new Array[Int](k)
+    private var sum    = 0.0
+    private var sumSq  = 0.0
     private val goLeft = new Array[Boolean](n)
     private val buf    = new Array[Int](n)
     private val perm   = new Array[Int](p)
@@ -94,54 +96,44 @@ final class DecisionTree(
       java.util.Arrays.copyOf(perm, nFeat)
     }
 
-    /** Counts the node's labels into `counts`. */
-    private def count(lo: Int, hi: Int, counts: Array[Int]): Unit = {
-      java.util.Arrays.fill(counts, 0)
-      var i = lo
-      while (i < hi) { counts(label(order(p)(i))) += 1; i += 1 }
-    }
-
-    /** Σ (count/total)² over labels in ascending order; the order of the
+    /** Σ (count/size)² over labels in ascending order; the order of the
       * additions is part of the result.
       */
-    private def sumSquares(counts: Array[Int], total: Double): Double = {
+    private def sumSquares(counts: Array[Int], size: Double): Double = {
       var s = 0.0
       var c = 0
-      while (c < k) { val q = counts(c) / total; s += q * q; c += 1 }
+      while (c < k) { val q = counts(c) / size; s += q * q; c += 1 }
       s
     }
 
-    private def leaf(lo: Int, hi: Int): Leaf =
+    /** Reads the node's rows once, in position order: the class counts into
+      * `total`, or Σy and Σy² into `sum` and `sumSq`. The node's leaf, its
+      * impurity and its Gini scans all start from this summary.
+      */
+    private def summarize(lo: Int, hi: Int): Unit = {
+      var i = lo
       if (classification) {
-        count(lo, hi, left)
-        val best = majority(left)
-        Leaf(data.classes(best), best)
+        java.util.Arrays.fill(total, 0)
+        while (i < hi) { total(label(order(p)(i))) += 1; i += 1 }
       } else {
-        var s = 0.0
-        var i = lo
-        while (i < hi) { s += yv(order(p)(i)); i += 1 }
-        Leaf(s / (hi - lo), -1)
-      }
-
-    private def impurity(lo: Int, hi: Int): Double = {
-      val m = (hi - lo).toDouble
-      if (classification) {
-        count(lo, hi, left)
-        1.0 - sumSquares(left, m)
-      } else {
-        var s  = 0.0
-        var s2 = 0.0
-        var i  = lo
-        while (i < hi) { val v = yv(order(p)(i)); s += v; s2 += v * v; i += 1 }
-        math.max(0.0, s2 / m - (s / m) * (s / m))
+        sum = 0.0
+        sumSq = 0.0
+        while (i < hi) { val v = yv(order(p)(i)); sum += v; sumSq += v * v; i += 1 }
       }
     }
 
     def build(lo: Int, hi: Int, depth: Int): Node = {
       val m = hi - lo
-      if (depth >= maxDepth || m < 2 * minLeaf) return leaf(lo, hi)
-      val parentImp = impurity(lo, hi)
-      if (parentImp < 1e-12) return leaf(lo, hi)
+      summarize(lo, hi)
+      // Built only where the node stops, before a child's `summarize` overwrites it.
+      def leaf: Leaf =
+        if (classification) { val c = majority(total); Leaf(data.classes(c), c) }
+        else Leaf(sum / m, -1)
+      if (depth >= maxDepth || m < 2 * MinLeaf) return leaf
+      val parentImp =
+        if (classification) 1.0 - sumSquares(total, m)
+        else math.max(0.0, sumSq / m - (sum / m) * (sum / m))
+      if (parentImp < 1e-12) return leaf
 
       val nFeat = math.max(1, math.min(p, featureSubset(p)))
 
@@ -156,7 +148,7 @@ final class DecisionTree(
         if (classification) {
           // Incremental class-count scan.
           java.util.Arrays.fill(left, 0)
-          count(lo, hi, right)
+          System.arraycopy(total, 0, right, 0, k)
           var nl = 0
           var i  = lo
           while (i < hi - 1) {
@@ -167,7 +159,7 @@ final class DecisionTree(
             val nr = m - nl
             val v0 = col(rows(sorted(i)))
             val v1 = col(rows(sorted(i + 1)))
-            if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
+            if (v1 > v0 && nl >= MinLeaf && nr >= MinLeaf) {
               val giniL = 1.0 - sumSquares(left, nl)
               val giniR = 1.0 - sumSquares(right, nr)
               val gain  = parentImp - (nl / nd) * giniL - (nr / nd) * giniR
@@ -176,6 +168,9 @@ final class DecisionTree(
             i += 1
           }
         } else {
+          // The right-hand sums start over in this feature's sorted order,
+          // not from `sum`: the float order of the additions is part of the
+          // gains, and so of the trees `ForestGoldenSpec` pins.
           var sl = 0.0; var sl2 = 0.0
           var sr = 0.0; var sr2 = 0.0
           var i  = lo
@@ -190,7 +185,7 @@ final class DecisionTree(
             val nr = m - nl
             val v0 = col(rows(sorted(i)))
             val v1 = col(rows(sorted(i + 1)))
-            if (v1 > v0 && nl >= minLeaf && nr >= minLeaf) {
+            if (v1 > v0 && nl >= MinLeaf && nr >= MinLeaf) {
               val varL = math.max(0.0, sl2 / nl - (sl / nl) * (sl / nl))
               val varR = math.max(0.0, sr2 / nr - (sr / nr) * (sr / nr))
               val gain = parentImp - (nl / nd) * varL - (nr / nd) * varR
@@ -201,7 +196,7 @@ final class DecisionTree(
         }
       }
 
-      if (bestFeat < 0) return leaf(lo, hi)
+      if (bestFeat < 0) return leaf
       imp(bestFeat) += bestGain * m
       // The split follows the predicate, not the scan's prefix: a midpoint
       // can round onto v1 or be NaN (−Inf with +Inf).
@@ -214,7 +209,7 @@ final class DecisionTree(
         if (goLeft(pos)) nLeft += 1
         i += 1
       }
-      if (nLeft == 0 || nLeft == m) return leaf(lo, hi)
+      if (nLeft == 0 || nLeft == m) return leaf
       order.foreach(partition(_, lo, hi))
       Split(bestFeat, bestThr, build(lo, lo + nLeft, depth + 1), build(lo + nLeft, hi, depth + 1))
     }
@@ -235,6 +230,9 @@ final class DecisionTree(
 }
 
 object DecisionTree {
+
+  /** The fewest rows a split may leave on either side. */
+  private final val MinLeaf = 2
 
   /** What every tree of one fit shares, computed once: the columns, each
     * value's dense rank in its column by `java.lang.Double.compare` (so

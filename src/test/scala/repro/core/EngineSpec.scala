@@ -121,6 +121,12 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("an FPE method whose hash variant differs from its FPE model's is rejected") {
+    intercept[IllegalArgumentException] {
+      new Engine(data, MethodConfig("eafe", hashVariant = "icws"), Some(fpe), None)
+    }
+  }
+
   test("E-AFE_D drops roughly half of the candidates") {
     val nfs = new Engine(data, tinyCfg("nfs"), None, None).run()
     val d   = new Engine(data, tinyCfg("eafe_d"), None, None).run()

@@ -32,6 +32,14 @@ class DecisionTreeSpec extends SparkSpec {
     assert(x.map(m.predict).forall(_ == maj))
   }
 
+  test("maxDepth=0 regression tree predicts the mean of y") {
+    val rng = new Random(6)
+    val x   = Array.fill(50)(Array(rng.nextDouble()))
+    val y   = x.map(r => 2 * r(0) + rng.nextGaussian())
+    val m   = new DecisionTree(classification = false, maxDepth = 0).fit(x, y)
+    assert(m.predict(Array(0.5)) === y.sum / y.length)
+  }
+
   test("regression tree recovers a step function") {
     val x = Array.tabulate(100)(i => Array(i.toDouble))
     val y = x.map(r => if (r(0) < 50) 1.0 else 5.0)
@@ -53,9 +61,9 @@ class DecisionTreeSpec extends SparkSpec {
     val x = Array(Array(0.0, 0.0), Array(0.0, 1.0), Array(1.0, 0.0), Array(1.0, 1.0))
     val grid = (0 until 25).flatMap(_ => x.map(_.clone())).toArray
     val y    = grid.map(r => if (r(0) > 0.5 && r(1) > 0.5) 1.0 else 0.0)
-    val m1 = new DecisionTree(classification = true, maxDepth = 1, minLeaf = 1).fit(grid, y)
+    val m1 = new DecisionTree(classification = true, maxDepth = 1).fit(grid, y)
     assert(Metrics.accuracy(y, grid.map(m1.predict)) < 1.0)
-    val m2 = new DecisionTree(classification = true, maxDepth = 2, minLeaf = 1).fit(grid, y)
+    val m2 = new DecisionTree(classification = true, maxDepth = 2).fit(grid, y)
     assert(Metrics.accuracy(y, grid.map(m2.predict)) === 1.0)
   }
 
@@ -72,8 +80,9 @@ class DecisionTreeSpec extends SparkSpec {
   test("minLeaf prevents splits on tiny partitions") {
     val x = Array.tabulate(6)(i => Array(i.toDouble))
     val y = Array(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-    // minLeaf=3 forbids isolating the single positive.
-    val m = new DecisionTree(classification = true, minLeaf = 3).fit(x, y)
+    // The minimum leaf of 2 forbids isolating the single positive; its best
+    // split leaves it in the leaf {4, 5}, whose 1–1 tie goes to the smaller label.
+    val m = new DecisionTree(classification = true).fit(x, y)
     assert(m.predict(Array(5.0)) === 0.0)
   }
 
